@@ -159,7 +159,8 @@ func httpResolve(client *http.Client, base string, req spacecdn.Request) error {
 // MeasureAllocs reports steady-state heap allocations per request on the
 // in-process path: one warmup pass over the request set (fills the scratch
 // pool, path memos, and histogram shards), then a measured pass on a
-// single goroutine between two MemStats readings. Pass only space-served
+// single goroutine between two MemStats readings, both at GOMAXPROCS 1
+// (restored on return). Pass only space-served
 // requests — the ground stage legitimately allocates its path, mirroring
 // the resolve benchmark's steady-state definition.
 func MeasureAllocs(srv *serve.Server, reqs []spacecdn.Request) (float64, error) {
@@ -168,6 +169,10 @@ func MeasureAllocs(srv *serve.Server, reqs []spacecdn.Request) (float64, error) 
 	}
 	sc := srv.AcquireScratch()
 	defer srv.ReleaseScratch(sc)
+	// The warmup fills per-P sync.Pools (routing scratch, intents); like
+	// testing.AllocsPerRun, measure on one P so a goroutine migration cannot
+	// miss them and count the refill as a request allocation.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, r := range reqs {
 		if _, err := srv.ResolveOnce(r, sc); err != nil {
 			return 0, err

@@ -25,6 +25,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -372,7 +373,10 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	lat, errLat := strconv.ParseFloat(q.Get("lat"), 64)
 	lon, errLon := strconv.ParseFloat(q.Get("lon"), 64)
-	if errLat != nil || errLon != nil {
+	// geo.NewPoint would clamp an out-of-range latitude to a pole and pass
+	// NaN through, so bad coordinates are rejected here. The negated
+	// comparisons are false for NaN as well as for ±Inf.
+	if errLat != nil || errLon != nil || !(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 180) {
 		http.Error(w, "bad lat/lon", http.StatusBadRequest)
 		return
 	}

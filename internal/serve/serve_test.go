@@ -162,8 +162,10 @@ func TestServeHTTP(t *testing.T) {
 		t.Fatalf("unknown source %q", decoded.Source)
 	}
 
-	if code, _ := get("/resolve?lat=x&lon=0&iso2=MZ&obj=" + string(wl.Hot.ID)); code != http.StatusBadRequest {
-		t.Fatalf("bad lat: status %d, want 400", code)
+	for _, coords := range []string{"lat=x&lon=0", "lat=500&lon=0", "lat=NaN&lon=0", "lat=Inf&lon=0", "lat=0&lon=-181"} {
+		if code, _ := get("/resolve?" + coords + "&iso2=MZ&obj=" + string(wl.Hot.ID)); code != http.StatusBadRequest {
+			t.Fatalf("bad coordinates %s: status %d, want 400", coords, code)
+		}
 	}
 	if code, _ := get("/resolve?lat=0&lon=0&iso2=MZ&obj=no-such-object"); code != http.StatusNotFound {
 		t.Fatalf("unknown object: status %d, want 404", code)

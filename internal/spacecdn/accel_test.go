@@ -11,6 +11,7 @@ import (
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/groundseg"
+	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/lsn"
 	"spacecdn/internal/stats"
 )
@@ -101,12 +102,13 @@ func TestResolveMatchesReference(t *testing.T) {
 }
 
 // TestSteadyStateResolveZeroAlloc pins the warm request path — overhead hits
-// and ISL hits with telemetry detached — to zero allocations per resolve.
+// and ISL hits with telemetry detached — to zero allocations per resolve,
+// both on a plain system and on a degraded epoch with an active lifecycle
+// manager classifying every hit, through Resolve and ResolveAt.
 func TestSteadyStateResolveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on the hot path")
 	}
-	s := newSystem(t, DefaultConfig())
 	snap := testConst.Snapshot(0)
 	city := geo.NewPoint(40.4168, -3.7038) // Madrid
 	up, ok := snap.BestVisible(city)
@@ -114,40 +116,75 @@ func TestSteadyStateResolveZeroAlloc(t *testing.T) {
 		t.Fatal("no satellite visible")
 	}
 	hot := testObject("zeroalloc-hot")
-	s.Store(up.ID, hot)
 	warm := testObject("zeroalloc-warm")
 	// Place the warm object a few ISL hops out so stage 2 resolves it.
-	g := snap.ISLGraph()
-	ring := g.WithinHops(1, 0) // unused guard; keep graph built
-	_ = ring
-	warmSat := snap.ISLNeighbors(up.ID)[0]
-	warmSat2 := snap.ISLNeighbors(warmSat)[0]
-	s.Store(warmSat2, warm)
+	warmSat := snap.ISLNeighbors(snap.ISLNeighbors(up.ID)[0])[0]
+
+	plain := newSystem(t, DefaultConfig())
+	plain.Store(up.ID, hot)
+	plain.Store(warmSat, warm)
+	composed := newSystem(t, DefaultConfig())
+	composed.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
+	composed.SetFaultPlan(farLinkPlan())
+	composed.StoreVersioned(up.ID, hot, 0)
+	composed.StoreVersioned(warmSat, warm, 0)
+	ep := composed.NewEpoch(1, snap)
+	if !ep.Degraded() {
+		t.Fatal("the far-link outage must make the epoch degraded")
+	}
 	rng := stats.NewRand(5)
 
-	for _, tc := range []struct {
-		name string
-		obj  content.Object
-		want Source
+	// The plain system's subtests keep the bare source names (overhead,
+	// isl); the composed variants are prefixed with their configuration.
+	for _, r := range []struct {
+		name    string
+		resolve func(obj content.Object) (Resolution, error)
 	}{
-		{"overhead", hot, SourceOverhead},
-		{"isl", warm, SourceISL},
+		{"", func(obj content.Object) (Resolution, error) {
+			return plain.Resolve(city, "ES", obj, snap, rng)
+		}},
+		{"degraded-lifecycle", func(obj content.Object) (Resolution, error) {
+			return composed.Resolve(city, "ES", obj, snap, rng)
+		}},
+		{"degraded-lifecycle-epoch", func(obj content.Object) (Resolution, error) {
+			return composed.ResolveAt(ep, city, "ES", obj, rng)
+		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// Warm every layer: grid, memo, scratch pools.
-			res, err := s.Resolve(city, "ES", tc.obj, snap, rng)
-			if err != nil || res.Source != tc.want {
-				t.Fatalf("warmup: res %+v err %v, want source %v", res, err, tc.want)
+		for _, tc := range []struct {
+			name string
+			obj  content.Object
+			want Source
+		}{
+			{"overhead", hot, SourceOverhead},
+			{"isl", warm, SourceISL},
+		} {
+			name := tc.name
+			if r.name != "" {
+				name = r.name + "/" + tc.name
 			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := s.Resolve(city, "ES", tc.obj, snap, rng); err != nil {
-					t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				// Warm every layer: grid, memo, scratch pools.
+				res, err := r.resolve(tc.obj)
+				if err != nil || res.Source != tc.want {
+					t.Fatalf("warmup: res %+v err %v, want source %v", res, err, tc.want)
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					if _, err := r.resolve(tc.obj); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("steady-state %s allocs/op = %v, want 0", tc.name, allocs)
 				}
 			})
-			if allocs != 0 {
-				t.Fatalf("steady-state %s Resolve allocs/op = %v, want 0", tc.name, allocs)
-			}
-		})
+		}
+	}
+	// The composed system really ran the classifier on the degraded path.
+	if ls := composed.LifecycleStats(); ls.FreshServes == 0 || ls.MissServes+ls.StaleServes+ls.ExpiredServes != 0 {
+		t.Fatalf("composed hits were not all classified fresh: %+v", ls)
+	}
+	if composed.FaultStats().DegradedRequests == 0 {
+		t.Fatal("composed resolves never ran degraded")
 	}
 }
 

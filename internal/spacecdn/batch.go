@@ -4,6 +4,7 @@ import (
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
+	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/parallel"
 	"spacecdn/internal/stats"
 )
@@ -16,11 +17,12 @@ import (
 // request's outcome depends on another shard's schedule, a workers=1 run and
 // a workers=N run produce byte-identical results for the same seed.
 //
-// Resolution is read-only over cache *membership*: Resolve never inserts or
-// evicts, and the per-cache hit accounting it performs is mutex-protected
-// and commutative (counter increments), so concurrent shards are race-clean
-// and the final counters are schedule-independent. Placement (Store/Apply)
-// must happen before the batch, not during it.
+// Resolution is read-only over cache *membership*: the pipeline never
+// inserts or evicts (lifecycle fills and drops wait in intents for the
+// sequential phase), and the per-cache hit accounting it performs is
+// mutex-protected and commutative (counter increments), so concurrent
+// shards are race-clean and the final counters are schedule-independent.
+// Placement (Store/Apply) must happen before the batch, not during it.
 
 // Request is one client object request in a batch.
 type Request struct {
@@ -57,32 +59,41 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 	if len(reqs) == 0 {
 		return nil
 	}
-	// An active lifecycle manager switches to the two-phase batch form
-	// (read-only sharded resolve, then sequential intent application with
-	// request coalescing) — unless active faults claim the batch first, in
-	// which case the degraded pipeline runs per request as usual. Both paths
-	// are byte-identical across worker counts.
-	if s.lc != nil && s.lc.Active() {
-		if s.faults == nil || s.faults.ViewAt(snap.Time()).Empty() {
-			return s.resolveAllLifecycle(reqs, snap, rng, workers)
-		}
+	// One epoch pins the batch's fault state. Forcing its ISL graph before
+	// the fan-out keeps shards from contending on the lazy build's sync.Once,
+	// and the build is never timed into a shard.
+	ep := s.epochAt(snap)
+	ep.topo.ISLGraph()
+	// An active lifecycle manager makes the batch two-phase (see
+	// lifecycle.go): the sharded resolve fills one intent per request, and
+	// the intents commit below, sequentially in batch order.
+	var intents []lcIntent
+	if s.lifecycleActive() {
+		intents = make([]lcIntent, len(reqs))
 	}
 	out := make([]BatchResult, len(reqs))
 	spans := parallel.Split(len(reqs), batchShardTarget)
 	rngs := rng.Split(len(spans))
-	// Force the lazy ISL graph build before the fan-out so shards never
-	// contend on the sync.Once, and the build is never timed into a shard.
-	snap.ISLGraph()
 	// Shard functions only write their own spans' slots; Run's error joining
 	// is unused because per-request errors are data, not failures.
 	_ = parallel.Run(workers, len(spans), func(shard int) error {
 		r := rngs[shard]
 		for i := spans[shard].Lo; i < spans[shard].Hi; i++ {
+			var it *lcIntent
+			if intents != nil {
+				it = &intents[i]
+			}
 			req := reqs[i]
-			res, err := s.Resolve(req.Client, req.ISO2, req.Obj, snap, r)
+			res, err := s.resolveEpoch(&ep, req.Client, req.ISO2, req.Obj, r, it)
 			out[i] = BatchResult{Resolution: res, Err: err}
 		}
 		return nil
 	})
+	if intents != nil {
+		flights := make(map[lifecycle.FlightKey]struct{})
+		for i := range intents {
+			s.applyLcIntent(&intents[i], snap.Time(), flights)
+		}
+	}
 	return out
 }

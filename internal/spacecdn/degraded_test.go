@@ -26,6 +26,19 @@ func satOutage(id constellation.SatID) faults.Outage {
 	return o
 }
 
+// farLinkOutage kills one ISL on the far side of the shell from the test
+// cities for the whole window: every epoch is degraded, yet no request
+// routes near the outage.
+func farLinkOutage() faults.Outage {
+	o := wholeWindowOutage(faults.KindISL)
+	o.Link = constellation.NormalizedLink(48, 49)
+	return o
+}
+
+func farLinkPlan() *faults.Plan {
+	return faults.NewPlanFromOutages(testConst.Total(), []faults.Outage{farLinkOutage()})
+}
+
 // TestResolveEmptyFaultPlanMatchesReference is the zero-fault acceptance
 // bar: with an empty plan attached, the Resolution stream must stay
 // byte-identical to the naive reference pipeline, including duty-cycled

@@ -29,28 +29,45 @@ import (
 // origin-fetch coalescing stays deterministic under concurrent misses.
 
 // Epoch pins the time-varying inputs of one resolution instant: a finished
-// constellation snapshot and the fault view active at its time. Epochs are
-// immutable after construction and safe to share across any number of
-// request goroutines.
+// constellation snapshot and the fault state active at its time. A healthy
+// epoch has no fault view and routes over the snapshot; a degraded one
+// carries the pinned view and its masked topology. Epochs are immutable
+// after construction and safe to share across any number of request
+// goroutines.
 type Epoch struct {
 	seq  uint64
 	snap *constellation.Snapshot
-	fv   *faults.View
+	topo topology                  // what requests route over: snap, or view
+	fv   *faults.View              // nil on a healthy epoch
+	view *constellation.MaskedView // fv's masked topology; nil when fv is
 }
 
-// NewEpoch builds a publishable epoch over a finished snapshot. It forces
-// the snapshot's lazy ISL-graph build and pins the attached fault plan's
-// view at the snapshot time, so every cost of epoch construction lands on
-// the sweeper, never on a request goroutine. The seq is the publisher's
-// monotonic epoch counter; readers use it to detect serving on a
-// stale-but-valid epoch.
-func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
-	snap.ISLGraph()
-	ep := &Epoch{seq: seq, snap: snap}
+// epochAt pins the attached fault plan's state at the snapshot time. It
+// draws no randomness, so with no plan, or at a fault-free instant, a
+// resolve consumes exactly the rng draws of a bare system.
+func (s *System) epochAt(snap *constellation.Snapshot) Epoch {
+	ep := Epoch{snap: snap, topo: snap}
 	if s.faults != nil {
-		ep.fv = s.faults.ViewAt(snap.Time())
+		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
+			ep.fv = fv
+			ep.view = snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
+			ep.topo = ep.view
+		}
 	}
 	return ep
+}
+
+// NewEpoch builds a publishable epoch over a finished snapshot. It pins the
+// attached fault plan's view at the snapshot time and forces the lazy build
+// of the topology requests will route over — the masked graph on a degraded
+// epoch — so every cost of epoch construction lands on the sweeper, never
+// on a request goroutine. The seq is the publisher's monotonic epoch
+// counter; readers use it to detect serving on a stale-but-valid epoch.
+func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
+	ep := s.epochAt(snap)
+	ep.seq = seq
+	ep.topo.ISLGraph()
+	return &ep
 }
 
 // Seq returns the publisher's epoch counter.
@@ -63,8 +80,20 @@ func (e *Epoch) Time() time.Duration { return e.snap.Time() }
 func (e *Epoch) Snapshot() *constellation.Snapshot { return e.snap }
 
 // Degraded reports whether the epoch pins an active-outage fault view, i.e.
-// resolutions against it run the fault-aware pipeline.
-func (e *Epoch) Degraded() bool { return e.fv != nil && !e.fv.Empty() }
+// resolutions against it reroute around dead hardware.
+func (e *Epoch) Degraded() bool { return e.fv != nil }
+
+// uplink returns the best visible satellite from p that survives the
+// epoch's fault state; failover reports that the healthy best was dead and
+// the next surviving one was chosen.
+func (e *Epoch) uplink(p geo.Point) (up constellation.VisibleSat, failover, ok bool) {
+	up, ok = e.snap.BestVisible(p)
+	if ok && e.fv != nil && e.fv.SatDead(up.ID) {
+		up, ok = e.view.BestVisible(p)
+		failover = true
+	}
+	return up, failover, ok
+}
 
 // ResolveAt serves one request against a pinned epoch. It is the
 // concurrency-safe counterpart of Resolve: where Resolve consults the fault
@@ -74,32 +103,25 @@ func (e *Epoch) Degraded() bool { return e.fv != nil && !e.fv.Empty() }
 // goroutine-local (fork one stream per connection or per request); all other
 // inputs are shared and read-only.
 //
+// With an active lifecycle manager the request's intent goes to the
+// single-writer applier (StartLifecycleApplier), or applies inline,
+// un-coalesced, when none is attached. The response returns before a queued
+// intent applies — a served stale copy is reported immediately while its
+// revalidating refill commits behind it, which is exactly a CDN's
+// stale-while-revalidate contract.
+//
 // For equal snapshot, fault state, and rng state, ResolveAt returns the
 // byte-identical Resolution stream Resolve would — the epoch changes when
 // state is read, never what is computed.
 func (s *System) ResolveAt(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand) (Resolution, error) {
-	in := s.inst
-	if in == nil {
-		return s.resolveAtAny(ep, client, iso2, obj, rng, nil)
+	a := s.applier.Load()
+	if a == nil || !s.lifecycleActive() {
+		return s.resolveInline(ep, client, iso2, obj, rng)
 	}
-	var d resolveDetail
-	d.client = client
-	res, err := s.resolveAtAny(ep, client, iso2, obj, rng, &d)
-	in.record(res, err, &d)
+	it := intentPool.Get().(*lcIntent)
+	res, err := s.resolveEpoch(ep, client, iso2, obj, rng, it)
+	a.ch <- intentMsg{it: it, t: ep.Time()}
 	return res, err
-}
-
-// resolveAtAny routes an epoch-pinned request down the same three pipelines
-// as resolveAny, substituting the pinned fault view for a plan lookup and
-// the queued lifecycle form for the inline one.
-func (s *System) resolveAtAny(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	if ep.fv != nil && !ep.fv.Empty() {
-		return s.resolveDegraded(client, iso2, obj, ep.snap, ep.fv, rng, d)
-	}
-	if s.lc != nil && s.lc.Active() {
-		return s.resolveLifecycleQueued(client, iso2, obj, ep.snap, rng, d)
-	}
-	return s.resolve(client, iso2, obj, ep.snap, rng, d)
 }
 
 // intentMsg carries one request's lifecycle intent to the applier.
@@ -159,23 +181,4 @@ func (s *System) StartLifecycleApplier(buf int) (stop func()) {
 		close(a.ch)
 		<-a.done
 	}
-}
-
-// resolveLifecycleQueued is the serve-path lifecycle form: the read-only
-// resolve fills a pooled intent, which is handed to the single-writer
-// applier (or applied inline, un-coalesced, when none is attached). The
-// response returns before the intent applies — a served stale copy is
-// reported immediately while its revalidating refill commits behind it,
-// which is exactly a CDN's stale-while-revalidate contract.
-func (s *System) resolveLifecycleQueued(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	it := intentPool.Get().(*lcIntent)
-	res, err := s.resolveLifecycleOne(client, iso2, obj, snap, rng, d, it)
-	if a := s.applier.Load(); a != nil {
-		a.ch <- intentMsg{it: it, t: snap.Time()}
-		return res, err
-	}
-	s.applyLcIntent(it, snap.Time(), nil)
-	*it = lcIntent{}
-	intentPool.Put(it)
-	return res, err
 }

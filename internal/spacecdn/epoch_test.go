@@ -196,10 +196,13 @@ func TestLifecycleApplierWindowReset(t *testing.T) {
 	s.SetLifecycle(lifecycle.NewManager(lifecycle.DefaultPolicy(), testConst.Total()))
 	stop := s.StartLifecycleApplier(4)
 	maputo := geo.NewPoint(-25.9692, 32.5732)
-	// An API-class object: its 1s TTL expires between the two instants, so
-	// the second-epoch request needs origin again rather than serving fresh.
+	// An API-class object under DefaultPolicy: a copy filled at t=0 is fresh
+	// to 30s and stale-servable to 60s, so at 90s it is expired whether or
+	// not the applier has landed the first fill yet. Either way the second
+	// request needs origin for the same flight key; only the window reset
+	// keeps it from coalescing (1/1).
 	obj := classedObject("applier-window", content.ClassAPI)
-	for i, tm := range []time.Duration{0, 30 * time.Second} {
+	for i, tm := range []time.Duration{0, 90 * time.Second} {
 		ep := s.NewEpoch(uint64(i+1), testConst.Snapshot(tm))
 		if _, err := s.ResolveAt(ep, maputo, "MZ", obj, stats.NewRand(int64(i))); err != nil {
 			t.Fatalf("epoch %d: %v", i, err)

@@ -10,9 +10,6 @@ import (
 	"spacecdn/internal/geo"
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/orbit"
-	"spacecdn/internal/parallel"
-	"spacecdn/internal/routing"
-	"spacecdn/internal/stats"
 )
 
 // Content-lifecycle serving: when a lifecycle.Manager is attached AND
@@ -33,7 +30,7 @@ import (
 
 // Tier read latencies for the two-tier store: a hot-RAM hit is effectively
 // free at millisecond scale, a bulk-SSD hit pays a read-and-stage cost.
-// Applied only in the lifecycle path and only when the store is Tiered.
+// Applied only to classified hits (active manager) on a Tiered store.
 const (
 	tierHotRead  = 50 * time.Microsecond
 	tierBulkRead = 2 * time.Millisecond
@@ -91,6 +88,9 @@ type TierSizing struct {
 // contract. Attach before concurrent resolves begin.
 func (s *System) SetLifecycle(m *lifecycle.Manager) { s.lc = m }
 
+// lifecycleActive gates every lifecycle step of the resolve path.
+func (s *System) lifecycleActive() bool { return s.lc != nil && s.lc.Active() }
+
 // Lifecycle returns the attached manager, or nil.
 func (s *System) Lifecycle() *lifecycle.Manager { return s.lc }
 
@@ -137,23 +137,13 @@ func (s *System) IssuePurge(obj content.ID, origin geo.Point, snap *constellatio
 	if s.lc == nil {
 		return lifecycle.PurgeResult{}, fmt.Errorf("spacecdn: no lifecycle manager attached")
 	}
-	t := snap.Time()
-	up, ok := snap.BestVisible(origin)
-	var topo lifecycle.Topology = snap
-	if s.faults != nil {
-		if fv := s.faults.ViewAt(t); !fv.Empty() {
-			view := snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
-			if ok && fv.SatDead(up.ID) {
-				up, ok = view.BestVisible(origin)
-			}
-			topo = view
-		}
-	}
+	ep := s.epochAt(snap)
+	up, _, ok := ep.uplink(origin)
 	if !ok {
 		return lifecycle.PurgeResult{}, fmt.Errorf("spacecdn: no satellite visible from purge origin %v", origin)
 	}
 	uplinkMs := float64(orbit.PropagationDelay(up.SlantKm)) / float64(time.Millisecond)
-	res, err := s.lc.IssuePurge(obj, topo, up.ID, t, s.cfg.PerHopProcMs, uplinkMs)
+	res, err := s.lc.IssuePurge(obj, ep.topo, up.ID, snap.Time(), s.cfg.PerHopProcMs, uplinkMs)
 	if err != nil {
 		return res, err
 	}
@@ -171,7 +161,7 @@ func (s *System) IssuePurge(obj content.ID, origin geo.Point, snap *constellatio
 // LifecycleStats is a snapshot of the always-on lifecycle counters. They
 // advance regardless of telemetry attachment, like FaultStats.
 type LifecycleStats struct {
-	// Serves counts lifecycle-path requests by how they were served.
+	// Serves counts classified requests by how they were served.
 	FreshServes   int64
 	StaleServes   int64
 	ExpiredServes int64
@@ -225,27 +215,27 @@ func (s *System) LifecycleStats() LifecycleStats {
 	return ls
 }
 
-// lcIntent records what one lifecycle-path request would do to shared
-// state. Phase 1 fills it without mutating anything; phase 2 applies it
-// sequentially in batch order. The inline (single-Resolve) path applies it
-// immediately with no coalescing.
+// lcIntent records what one classified request would do to shared
+// state. The resolve pipeline fills it without mutating anything; the
+// caller commits it with applyLcIntent — inline for Resolve, in batch order
+// for ResolveAll, through the single-writer applier for ResolveAt.
 type lcIntent struct {
 	valid        bool // resolution succeeded; serve counters apply
 	obj          content.Object
 	class        ServeClass
 	inconsistent bool
 
-	hit     bool // counted Get + tier Touch on hitSat
-	hitSat  constellation.SatID
-	bulkHit bool
+	hit    bool // counted Get + tier Touch on hitSat
+	hitSat constellation.SatID
 
 	// Up to two expired entries can drop per request: the overhead
 	// satellite's and the ISL target's.
 	drops    [2]lcDrop
 	numDrops int
 
-	needOrigin bool // origin contact required; subject to coalescing
-	fill       bool // the flight winner fills/refreshes fillSat
+	// needOrigin: origin contact required, subject to coalescing; the
+	// flight winner fills or refreshes fillSat.
+	needOrigin bool
 	fillSat    constellation.SatID
 	flight     lifecycle.FlightKey
 }
@@ -272,148 +262,63 @@ func (s *System) expiredReason(sat constellation.SatID, entry cache.Item, obj co
 }
 
 // tierRead returns the extra read latency for a hit on the satellite's
-// store, and whether it came from the bulk tier. Zero for non-tiered
-// stores.
-func (s *System) tierRead(id constellation.SatID, key cache.Key) (time.Duration, bool) {
+// store: zero for non-tiered stores.
+func (s *System) tierRead(id constellation.SatID, key cache.Key) time.Duration {
 	if s.tierCfg == nil {
-		return 0, false
+		return 0
 	}
 	tc, ok := s.caches[int(id)].(*cache.Tiered)
 	if !ok {
-		return 0, false
+		return 0
 	}
 	tier, ok := tc.PeekTier(key)
 	if !ok {
-		return 0, false
+		return 0
 	}
 	if tier == cache.TierBulk {
-		return tierBulkRead, true
+		return tierBulkRead
 	}
-	return tierHotRead, false
+	return tierHotRead
 }
 
-// resolveLifecycleInline is the single-request lifecycle path: resolve,
-// then apply the intent immediately (every origin need is its own flight —
-// coalescing only exists across a batch).
-func (s *System) resolveLifecycleInline(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	var it lcIntent
-	res, err := s.resolveLifecycleOne(client, iso2, obj, snap, rng, d, &it)
-	s.applyLcIntent(&it, snap.Time(), nil)
-	return res, err
-}
-
-// resolveLifecycleOne mirrors resolve's three stages with freshness
-// classification at each hit point. It is read-only over cache state: all
-// mutations (hit accounting, promotions, drops, fills) land in the intent.
-func (s *System) resolveLifecycleOne(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail, it *lcIntent) (Resolution, error) {
-	it.obj = obj
-	up, ok := snap.BestVisible(client)
-	if !ok {
-		return Resolution{}, fmt.Errorf("spacecdn: no satellite visible from %v", client)
-	}
-	t := snap.Time()
-	upDelay := orbit.PropagationDelay(up.SlantKm)
-	sched := s.schedDelay(rng)
-	if d != nil {
-		d.uplinkRTT = 2 * upDelay
-	}
+// serveHit is the per-hit step of the resolve pipeline at a satellite the
+// search found holding the object. Without an intent it is the plain
+// counted Get. With one it classifies the copy read-only: an expired copy
+// is queued to drop and the stage misses; a fresh or stale one serves,
+// returning the tier read latency, and a stale serve queues its
+// revalidating refill (stale-while-revalidate).
+func (s *System) serveHit(it *lcIntent, sat constellation.SatID, obj content.Object, client geo.Point, t time.Duration) (time.Duration, bool) {
 	key := cache.Key(obj.ID)
-	hadExpired := false
-
-	// Stage 1: directly overhead, classified.
-	if s.Active(up.ID, t) {
-		if entry, ok := s.caches[int(up.ID)].Entry(key); ok {
-			f, inconsistent := s.lc.Classify(int(up.ID), entry, obj.ID, t)
-			if f == lifecycle.Expired {
-				it.addDrop(up.ID, s.expiredReason(up.ID, entry, obj.ID, t))
-				hadExpired = true
-			} else {
-				tierLat, bulk := s.tierRead(up.ID, key)
-				it.valid = true
-				it.hit, it.hitSat, it.bulkHit = true, up.ID, bulk
-				it.inconsistent = inconsistent
-				if f == lifecycle.Fresh {
-					it.class = ServeFresh
-				} else {
-					// Stale-while-revalidate: serve the cached copy now,
-					// refresh off-path (a coalescable origin contact).
-					it.class = ServeStale
-					it.needOrigin = true
-					it.fill, it.fillSat = true, up.ID
-					it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-				}
-				return Resolution{
-					Source: SourceOverhead,
-					Sat:    up.ID,
-					RTT:    2*upDelay + sched + tierLat,
-				}, nil
-			}
-		}
+	if it == nil {
+		return 0, s.caches[int(sat)].Get(key)
 	}
-
-	// Stage 2: nearest replica over ISLs, classified at the target.
-	g := snap.ISLGraph()
-	members := s.replicas.bitset(key)
-	if hit, ok := g.NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
-		target := constellation.SatID(hit.Node)
-		if entry, ok2 := s.caches[int(target)].Entry(key); ok2 {
-			f, inconsistent := s.lc.Classify(int(target), entry, obj.ID, t)
-			if f == lifecycle.Expired {
-				it.addDrop(target, s.expiredReason(target, entry, obj.ID, t))
-				hadExpired = true
-			} else if islRTT, hops, reachable := s.islRoundTrip(snap, up.ID, target); reachable {
-				tierLat, bulk := s.tierRead(target, key)
-				it.valid = true
-				it.hit, it.hitSat, it.bulkHit = true, target, bulk
-				it.inconsistent = inconsistent
-				if f == lifecycle.Fresh {
-					it.class = ServeFresh
-				} else {
-					it.class = ServeStale
-					it.needOrigin = true
-					it.fill, it.fillSat = true, target
-					it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-				}
-				if d != nil {
-					d.islRTT = islRTT
-				}
-				return Resolution{
-					Source: SourceISL,
-					Sat:    target,
-					Hops:   hops,
-					RTT:    2*upDelay + islRTT + sched + tierLat,
-				}, nil
-			}
-		}
+	entry, ok := s.caches[int(sat)].Entry(key)
+	if !ok {
+		return 0, false
 	}
-
-	// Stage 3: origin fetch through the ground path. The overhead satellite
-	// pulls the object through into its cache (stamped with the current
-	// version), so the next request in the cell is a space hit.
-	if s.lsn == nil {
-		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
+	f, inconsistent := s.lc.Classify(int(sat), entry, obj.ID, t)
+	if f == lifecycle.Expired {
+		it.addDrop(sat, s.expiredReason(sat, entry, obj.ID, t))
+		return 0, false
 	}
-	path, err := s.lsn.ResolvePath(client, iso2, snap)
-	if err != nil {
-		return Resolution{}, fmt.Errorf("spacecdn: ground fallback: %w", err)
-	}
-	if d != nil {
-		d.ground = path
-		d.hasGround = true
-	}
+	tierLat := s.tierRead(sat, key)
 	it.valid = true
-	if hadExpired {
-		it.class = ServeExpired
-	} else {
-		it.class = ServeMiss
+	it.hit, it.hitSat = true, sat
+	it.inconsistent = inconsistent
+	it.class = ServeFresh
+	if f != lifecycle.Fresh {
+		it.class = ServeStale
+		s.needOrigin(it, sat, client)
 	}
+	return tierLat, true
+}
+
+// needOrigin records an origin contact that refills sat, as a flight keyed
+// by {object, latest version, client cell} for coalescing.
+func (s *System) needOrigin(it *lcIntent, sat constellation.SatID, client geo.Point) {
 	it.needOrigin = true
-	it.fill, it.fillSat = true, up.ID
-	it.flight = lifecycle.FlightKey{Object: obj.ID, Version: s.lc.LatestVersion(obj.ID), Cell: lifecycle.Cell(client)}
-	return Resolution{
-		Source: SourceGround,
-		RTT:    s.lsn.SampleRTTToPoP(path, rng),
-	}, nil
+	it.fillSat = sat
+	it.flight = lifecycle.FlightKey{Object: it.obj.ID, Version: s.lc.LatestVersion(it.obj.ID), Cell: lifecycle.Cell(client)}
 }
 
 // applyLcIntent commits one request's intent. flights de-duplicates origin
@@ -470,49 +375,5 @@ func (s *System) applyLcIntent(it *lcIntent, t time.Duration, flights map[lifecy
 		return
 	}
 	s.lcstats.originFetches.Add(1)
-	if it.fill {
-		item := cache.Item{
-			Key:  cache.Key(it.obj.ID),
-			Size: it.obj.Bytes,
-			Tag:  it.obj.Region.String(),
-		}
-		s.lc.Stamp(&item, it.obj.Class, it.obj.ID, t)
-		s.caches[int(it.fillSat)].Put(item)
-	}
-}
-
-// resolveAllLifecycle is the two-phase batch form: a fixed-shard parallel
-// read-only resolve (phase 1), then sequential intent application in batch
-// order (phase 2) where coalescing winners are selected and fills, drops,
-// hit accounting, and tier promotions commit deterministically.
-func (s *System) resolveAllLifecycle(reqs []Request, snap *constellation.Snapshot, rng *stats.Rand, workers int) []BatchResult {
-	out := make([]BatchResult, len(reqs))
-	intents := make([]lcIntent, len(reqs))
-	spans := parallel.Split(len(reqs), batchShardTarget)
-	rngs := rng.Split(len(spans))
-	snap.ISLGraph()
-	_ = parallel.Run(workers, len(spans), func(shard int) error {
-		r := rngs[shard]
-		for i := spans[shard].Lo; i < spans[shard].Hi; i++ {
-			req := reqs[i]
-			var res Resolution
-			var err error
-			if in := s.inst; in != nil {
-				var d resolveDetail
-				d.client = req.Client
-				res, err = s.resolveLifecycleOne(req.Client, req.ISO2, req.Obj, snap, r, &d, &intents[i])
-				in.record(res, err, &d)
-			} else {
-				res, err = s.resolveLifecycleOne(req.Client, req.ISO2, req.Obj, snap, r, nil, &intents[i])
-			}
-			out[i] = BatchResult{Resolution: res, Err: err}
-		}
-		return nil
-	})
-	flights := make(map[lifecycle.FlightKey]struct{})
-	t := snap.Time()
-	for i := range intents {
-		s.applyLcIntent(&intents[i], t, flights)
-	}
-	return out
+	s.StoreVersioned(it.fillSat, it.obj, t)
 }

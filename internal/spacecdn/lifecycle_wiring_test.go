@@ -8,6 +8,7 @@ import (
 	"spacecdn/internal/cache"
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
+	"spacecdn/internal/faults"
 	"spacecdn/internal/geo"
 	"spacecdn/internal/lifecycle"
 	"spacecdn/internal/stats"
@@ -152,9 +153,13 @@ func TestResolveAllLifecycleWorkerInvariance(t *testing.T) {
 		lens    []int
 		bytes   []int64
 	}
-	run := func(workers int) outcome {
+	run := func(plan *faults.Plan, workers int) outcome {
 		s, reqs, snap := lifecycleFixture(t)
+		s.SetFaultPlan(plan)
 		res := s.ResolveAll(reqs, snap, stats.NewRand(77), workers)
+		if plan != nil && s.FaultStats().DegradedRequests == 0 {
+			t.Fatal("fault plan input never ran degraded; its invariance check is vacuous")
+		}
 		o := outcome{results: res, stats: s.LifecycleStats()}
 		for id := 0; id < testConst.Total(); id++ {
 			c := s.CacheOf(constellation.SatID(id))
@@ -166,27 +171,40 @@ func TestResolveAllLifecycleWorkerInvariance(t *testing.T) {
 		}
 		return o
 	}
-	base := run(1)
-	if base.stats.Coalesced == 0 {
-		t.Fatal("fixture produced no coalesced requests; invariance test is vacuous")
+	// Outages active at the fixture's t=1s resolve: a dead uplink and a dead
+	// replica holder force failovers through the lifecycle batch, and a dead
+	// PoP and a far ISL make the rest of the batch degraded too.
+	city := geo.Cities()[1]
+	up, ok := testConst.Snapshot(time.Second).BestVisible(city.Loc)
+	if !ok {
+		t.Fatal("no visibility")
 	}
-	if base.stats.ExpiredServes == 0 {
-		t.Fatal("fixture produced no purge-expired serves")
-	}
-	for _, workers := range []int{2, 8} {
-		got := run(workers)
-		for i := range base.results {
-			if (base.results[i].Err == nil) != (got.results[i].Err == nil) || base.results[i].Resolution != got.results[i].Resolution {
-				t.Fatalf("workers=%d req %d: %+v != %+v", workers, i, got.results[i], base.results[i])
+	pop := wholeWindowOutage(faults.KindPoP)
+	pop.PoP = "mad"
+	faulted := faults.NewPlanFromOutages(testConst.Total(), []faults.Outage{satOutage(up.ID), satOutage(11), pop, farLinkOutage()})
+	for _, plan := range []*faults.Plan{nil, faulted} {
+		base := run(plan, 1)
+		if base.stats.Coalesced == 0 {
+			t.Fatal("fixture produced no coalesced requests; invariance test is vacuous")
+		}
+		if base.stats.ExpiredServes == 0 {
+			t.Fatal("fixture produced no purge-expired serves")
+		}
+		for _, workers := range []int{2, 8} {
+			got := run(plan, workers)
+			for i := range base.results {
+				if (base.results[i].Err == nil) != (got.results[i].Err == nil) || base.results[i].Resolution != got.results[i].Resolution {
+					t.Fatalf("faulted=%v workers=%d req %d: %+v != %+v", plan != nil, workers, i, got.results[i], base.results[i])
+				}
 			}
-		}
-		if got.stats != base.stats {
-			t.Fatalf("workers=%d lifecycle stats diverged:\n got %+v\nwant %+v", workers, got.stats, base.stats)
-		}
-		for id := range base.lens {
-			if got.lens[id] != base.lens[id] || got.bytes[id] != base.bytes[id] {
-				t.Fatalf("workers=%d sat %d: cache state diverged (len %d/%d, bytes %d/%d)",
-					workers, id, got.lens[id], base.lens[id], got.bytes[id], base.bytes[id])
+			if got.stats != base.stats {
+				t.Fatalf("faulted=%v workers=%d lifecycle stats diverged:\n got %+v\nwant %+v", plan != nil, workers, got.stats, base.stats)
+			}
+			for id := range base.lens {
+				if got.lens[id] != base.lens[id] || got.bytes[id] != base.bytes[id] {
+					t.Fatalf("faulted=%v workers=%d sat %d: cache state diverged (len %d/%d, bytes %d/%d)",
+						plan != nil, workers, id, got.lens[id], base.lens[id], got.bytes[id], base.bytes[id])
+				}
 			}
 		}
 	}
@@ -374,6 +392,62 @@ func TestLifecyclePurgeThroughSystem(t *testing.T) {
 	}
 	if r3.Source == SourceGround {
 		t.Fatal("post-refill request fell through to ground; new version not cached")
+	}
+}
+
+// TestLifecyclePurgeUnderFaults: faults and lifecycle compose. An outage
+// unrelated to the request — one dead ISL on the far side of the shell —
+// makes the epoch degraded, and the purged copy must still be classified:
+// dropped as purged and refetched from origin, through both entry points.
+func TestLifecyclePurgeUnderFaults(t *testing.T) {
+	snap2 := testConst.Snapshot(2 * time.Second)
+	for _, tc := range []struct {
+		name    string
+		resolve func(t *testing.T, s *System, client geo.Point, obj content.Object) (Resolution, error)
+	}{
+		{"Resolve", func(_ *testing.T, s *System, client geo.Point, obj content.Object) (Resolution, error) {
+			return s.Resolve(client, "MZ", obj, snap2, stats.NewRand(4))
+		}},
+		{"ResolveAt", func(t *testing.T, s *System, client geo.Point, obj content.Object) (Resolution, error) {
+			ep := s.NewEpoch(1, snap2)
+			if !ep.Degraded() {
+				t.Fatal("the far-link outage must make the epoch degraded")
+			}
+			return s.ResolveAt(ep, client, "MZ", obj, stats.NewRand(4))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newSystem(t, DefaultConfig())
+			s.SetLifecycle(inertManager())
+			s.SetFaultPlan(farLinkPlan())
+			maputo := geo.NewPoint(-25.9692, 32.5732)
+			up, ok := snap2.BestVisible(maputo)
+			if !ok {
+				t.Fatal("no visibility")
+			}
+			obj := classedObject("purge-faulted", content.ClassStatic)
+			s.StoreVersioned(up.ID, obj, 0)
+			if _, err := s.IssuePurge(obj.ID, maputo, testConst.Snapshot(0)); err != nil {
+				t.Fatal(err)
+			}
+
+			res, err := tc.resolve(t, s, maputo, obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Source != SourceGround {
+				t.Fatalf("purged copy served from %v (sat %d), want ground refetch", res.Source, res.Sat)
+			}
+			if got := s.CacheOf(up.ID).Stats().EvictionsFor(cache.EvictPurged); got != 1 {
+				t.Fatalf("purged evictions at sat %d = %d, want 1", up.ID, got)
+			}
+			if ls := s.LifecycleStats(); ls.ExpiredServes != 1 {
+				t.Fatalf("expired serves = %d, want 1 (%+v)", ls.ExpiredServes, ls)
+			}
+			if fs := s.FaultStats(); fs.DegradedRequests != 1 {
+				t.Fatalf("degraded requests = %d, want 1", fs.DegradedRequests)
+			}
+		})
 	}
 }
 

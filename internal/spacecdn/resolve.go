@@ -8,6 +8,7 @@ import (
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
+	"spacecdn/internal/lsn"
 	"spacecdn/internal/orbit"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/stats"
@@ -74,51 +75,87 @@ type Resolution struct {
 // Resolve serves one object request from a client at time snap.Time(),
 // following the three-stage strategy. The rng supplies access-link
 // scheduling jitter; pass a deterministic source for reproducible runs.
+// The attached fault plan is consulted at the snapshot time and an active
+// lifecycle manager's intent applies inline, before Resolve returns.
 //
 // When telemetry is attached (SetTelemetry), each call increments the
 // per-source request counters, observes the RTT and hop-count histograms,
 // and — for sampled requests — emits a RequestTrace whose span durations
 // decompose the returned RTT exactly.
 func (s *System) Resolve(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand) (Resolution, error) {
+	ep := s.epochAt(snap)
+	return s.resolveInline(&ep, client, iso2, obj, rng)
+}
+
+// resolveInline runs the pipeline and commits an active lifecycle
+// manager's intent before returning, uncoalesced: every origin need is its
+// own flight.
+func (s *System) resolveInline(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand) (Resolution, error) {
+	if !s.lifecycleActive() {
+		return s.resolveEpoch(ep, client, iso2, obj, rng, nil)
+	}
+	var it lcIntent
+	res, err := s.resolveEpoch(ep, client, iso2, obj, rng, &it)
+	s.applyLcIntent(&it, ep.Time(), nil)
+	return res, err
+}
+
+// resolveEpoch runs the pipeline and, when telemetry is attached, records
+// the request.
+func (s *System) resolveEpoch(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, it *lcIntent) (Resolution, error) {
 	in := s.inst
 	if in == nil {
-		return s.resolveAny(client, iso2, obj, snap, rng, nil)
+		return s.resolve(ep, client, iso2, obj, rng, it, nil)
 	}
 	var d resolveDetail
 	d.client = client
-	res, err := s.resolveAny(client, iso2, obj, snap, rng, &d)
+	res, err := s.resolve(ep, client, iso2, obj, rng, it, &d)
 	in.record(res, err, &d)
 	return res, err
 }
 
-// resolveAny routes a request down the healthy pipeline or, when the
-// attached fault plan has active outages at the snapshot time, the degraded
-// one; with an active lifecycle manager (and no active faults) it runs the
-// freshness-classifying lifecycle pipeline. Both checks happen before any
-// rng draw, so with no plan and an absent-or-inert manager the healthy path
-// runs untouched and its output stays byte-identical to a bare system.
-func (s *System) resolveAny(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	if s.faults != nil {
-		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
-			return s.resolveDegraded(client, iso2, obj, snap, fv, rng, d)
+// resolve is the resolution pipeline behind Resolve, ResolveAt and
+// ResolveAll. On a degraded epoch it keeps the three stages but reroutes
+// around dead hardware, in failover order:
+//
+//  1. dead overhead satellite → the next surviving visible one;
+//  2. dead replica holders and relays → excluded from the ISL search, which
+//     runs over the masked graph where dead satellites have no edges;
+//  3. dead PoP → the next-nearest live PoP (lsn.ResolvePathDegraded).
+//
+// Each failover advances its always-on counter. A request errors only when
+// no path — space or ground — survives the fault state.
+//
+// Every cache hit goes through serveHit, which is a plain counted Get when
+// it is nil and a freshness classification when it is not (only while the
+// lifecycle manager is active); a ground serve then records the origin
+// refill. With an intent the pipeline is read-only over cache state and the
+// caller chooses when the intent commits. When d is non-nil it is filled
+// with the latency components telemetry needs to decompose the RTT into
+// spans; the components are assigned, never allocated, so the disabled
+// path stays allocation-free.
+func (s *System) resolve(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, it *lcIntent, d *resolveDetail) (Resolution, error) {
+	degraded := ep.fv != nil
+	if degraded {
+		s.fstats.degraded.Add(1)
+		if d != nil {
+			d.degraded = true
 		}
 	}
-	if s.lc != nil && s.lc.Active() {
-		return s.resolveLifecycleInline(client, iso2, obj, snap, rng, d)
+	if it != nil {
+		it.obj = obj
 	}
-	return s.resolve(client, iso2, obj, snap, rng, d)
-}
-
-// resolve is the uninstrumented resolution path. When d is non-nil it is
-// filled with the latency components telemetry needs to decompose the RTT
-// into spans; the components are assigned, never allocated, so the disabled
-// path stays allocation-free.
-func (s *System) resolve(client geo.Point, iso2 string, obj content.Object, snap *constellation.Snapshot, rng *stats.Rand, d *resolveDetail) (Resolution, error) {
-	up, ok := snap.BestVisible(client)
+	up, failover, ok := ep.uplink(client)
+	if failover {
+		s.fstats.uplinkFO.Add(1)
+		if d != nil {
+			d.uplinkFailover = true
+		}
+	}
 	if !ok {
 		return Resolution{}, fmt.Errorf("spacecdn: no satellite visible from %v", client)
 	}
-	t := snap.Time()
+	t := ep.Time()
 	upDelay := orbit.PropagationDelay(up.SlantKm)
 	sched := s.schedDelay(rng)
 	if d != nil {
@@ -126,55 +163,90 @@ func (s *System) resolve(client geo.Point, iso2 string, obj content.Object, snap
 	}
 
 	// Stage 1: directly overhead.
-	if s.Active(up.ID, t) && s.cacheGet(up.ID, obj.ID) {
-		return Resolution{
-			Source: SourceOverhead,
-			Sat:    up.ID,
-			RTT:    2*upDelay + sched,
-		}, nil
+	if s.Active(up.ID, t) {
+		if tierLat, ok := s.serveHit(it, up.ID, obj, client, t); ok {
+			return Resolution{
+				Source: SourceOverhead,
+				Sat:    up.ID,
+				RTT:    2*upDelay + sched + tierLat,
+			}, nil
+		}
 	}
 
 	// Stage 2: nearest caching satellite over ISLs within the hop bound. The
 	// replica index supplies the membership bitset (nil for cold objects,
 	// skipping the BFS entirely) and the duty cycler the active bitset, so
 	// the search probes words instead of calling Peek per visited node.
-	g := snap.ISLGraph()
 	members := s.replicas.bitset(cache.Key(obj.ID))
-	if hit, ok := g.NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
-		target := constellation.SatID(hit.Node)
-		if islRTT, hops, reachable := s.islRoundTrip(snap, up.ID, target); reachable {
-			// Count the hit on the serving satellite's cache.
-			s.caches[int(target)].Get(cache.Key(obj.ID))
-			if d != nil {
-				d.islRTT = islRTT
-			}
-			return Resolution{
-				Source: SourceISL,
-				Sat:    target,
-				Hops:   hops,
-				RTT:    2*upDelay + islRTT + sched,
-			}, nil
+	if degraded && members.IntersectsAny(ep.fv.DeadSats) {
+		s.fstats.replicaFO.Add(1)
+		if d != nil {
+			d.replicaFailover = true
 		}
-		// The replica is unreachable over ISLs (partitioned topology): fall
-		// through to the ground stage instead of pricing the fetch as free.
+	}
+	if hit, ok := ep.topo.ISLGraph().NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
+		target := constellation.SatID(hit.Node)
+		// An unreachable replica (partitioned topology) falls through to the
+		// ground stage instead of pricing the fetch as free.
+		if islRTT, hops, reachable := s.islRoundTrip(ep.topo, up.ID, target); reachable {
+			if tierLat, ok := s.serveHit(it, target, obj, client, t); ok {
+				if d != nil {
+					d.islRTT = islRTT
+				}
+				return Resolution{
+					Source: SourceISL,
+					Sat:    target,
+					Hops:   hops,
+					RTT:    2*upDelay + islRTT + sched + tierLat,
+				}, nil
+			}
+		}
 	}
 
 	// Stage 3: ground fallback through the operator's PoP.
 	if s.lsn == nil {
 		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
 	}
-	path, err := s.lsn.ResolvePath(client, iso2, snap)
+	path, popFailover, err := s.groundPath(ep, client, iso2)
 	if err != nil {
 		return Resolution{}, fmt.Errorf("spacecdn: ground fallback: %w", err)
+	}
+	if popFailover {
+		s.fstats.popFO.Add(1)
+		if d != nil {
+			d.popFailover = true
+		}
 	}
 	if d != nil {
 		d.ground = path
 		d.hasGround = true
 	}
+	if it != nil {
+		// A miss, or an expired refetch when the search dropped an expired
+		// copy on the way. The overhead satellite pulls the object through
+		// into its cache, so the next request in the cell is a space hit.
+		it.valid = true
+		it.class = ServeMiss
+		if it.numDrops > 0 {
+			it.class = ServeExpired
+		}
+		s.needOrigin(it, up.ID, client)
+	}
 	return Resolution{
 		Source: SourceGround,
 		RTT:    s.lsn.SampleRTTToPoP(path, rng),
 	}, nil
+}
+
+// groundPath resolves the ground stage's path. PoP failover runs only on a
+// degraded epoch: a healthy one takes the plain ResolvePath, which keeps
+// its stream equal to ResolveReference.
+func (s *System) groundPath(ep *Epoch, client geo.Point, iso2 string) (lsn.Path, bool, error) {
+	if ep.fv == nil {
+		path, err := s.lsn.ResolvePath(client, iso2, ep.snap)
+		return path, false, err
+	}
+	return s.lsn.ResolvePathDegraded(client, iso2, ep.view, ep.fv.PoPDead)
 }
 
 // ResolveReference is the pre-acceleration resolve pipeline, kept verbatim:
@@ -244,11 +316,13 @@ func (s *System) cacheGet(id constellation.SatID, obj content.ID) bool {
 	return s.caches[int(id)].Get(cache.Key(obj))
 }
 
-// pathTreer prices ISL legs off memoized shortest-path trees. Satisfied by
+// topology is the ISL routing surface the pipeline reads, with ISL legs
+// priced off memoized shortest-path trees. Satisfied by
 // *constellation.Snapshot (healthy topology, fault epoch 0) and
 // *constellation.MaskedView (degraded topology, its own epoch); both are
 // pointer receivers, so the interface costs no allocation per call.
-type pathTreer interface {
+type topology interface {
+	ISLGraph() *routing.Graph
 	PathTree(constellation.SatID) *routing.SPTree
 }
 
@@ -257,7 +331,7 @@ type pathTreer interface {
 // priced off the topology's memoized path tree. ok is false when to is
 // unreachable from from — callers must treat the replica as unusable and
 // fall through to the ground stage, never price it as free.
-func (s *System) islOneWay(topo pathTreer, from, to constellation.SatID) (time.Duration, int, bool) {
+func (s *System) islOneWay(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
 	if from == to {
 		return 0, 0, true
 	}
@@ -272,7 +346,7 @@ func (s *System) islOneWay(topo pathTreer, from, to constellation.SatID) (time.D
 }
 
 // islRoundTrip returns the two-way ISL latency and hop count.
-func (s *System) islRoundTrip(topo pathTreer, from, to constellation.SatID) (time.Duration, int, bool) {
+func (s *System) islRoundTrip(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
 	d, h, ok := s.islOneWay(topo, from, to)
 	return 2 * d, h, ok
 }

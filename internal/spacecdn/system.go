@@ -270,9 +270,9 @@ func (s *System) activeSet(t time.Duration) routing.Bitset {
 
 // SetFaultPlan attaches (or, with nil, detaches) a fault-injection plan.
 // With a plan attached, Resolve consults it at each request's snapshot time:
-// at times with active outages the degraded pipeline reroutes around dead
+// at times with active outages the resolve pipeline reroutes around dead
 // satellites, ISLs, and PoPs; at fault-free times — and always with a nil or
-// empty plan — the healthy pipeline runs byte-identically, consuming the
+// empty plan — it runs byte-identically to a bare system, consuming the
 // same rng draws. Attach before concurrent resolves begin.
 func (s *System) SetFaultPlan(p *faults.Plan) { s.faults = p }
 
@@ -281,8 +281,8 @@ func (s *System) FaultPlan() *faults.Plan { return s.faults }
 
 // FaultStats is a snapshot of the always-on degraded-mode counters.
 type FaultStats struct {
-	// DegradedRequests counts resolves that ran the degraded pipeline
-	// (at least one outage active at the request's snapshot time).
+	// DegradedRequests counts resolves on a degraded epoch (at least one
+	// outage active at the request's snapshot time).
 	DegradedRequests int64
 	// UplinkFailovers counts requests whose healthy overhead satellite was
 	// dead and that were re-homed to the next surviving visible one.

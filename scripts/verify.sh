@@ -9,7 +9,8 @@
 #   vet    go vet
 #   build  go build
 #   test   go test
-#   race   go test -race
+#   race   go test -race, then the applier and stress tests repeated
+#          under -race -count=10
 #   smoke  CLI run asserting the telemetry artifact parses with non-zero
 #          request counters
 #   observe  full observability smoke: a backgrounded run with the live
@@ -89,6 +90,9 @@ stage_test() {
 
 stage_race() {
 	go test -race ./...
+	# Timing-dependent concurrency tests get repeated runs, so one cannot
+	# pass by a lucky schedule.
+	go test -race -count=10 -run 'Applier|RaceStress|EpochSwapStress' ./internal/spacecdn ./internal/serve
 }
 
 stage_smoke() {
