@@ -1,11 +1,12 @@
 // Package cache implements the byte-capacity caches used by both the
-// terrestrial CDN edges and the SpaceCDN satellite caches: LRU, LFU and
+// terrestrial CDN edges and the SpaceCDN satellite caches: LRU and
 // TTL-wrapped variants, plus a geography-aware eviction policy for the
 // paper's "content bubbles" (§5) — evict objects whose popularity region the
 // satellite is leaving.
 //
 // All caches are instrumented (hits, misses, evictions, bytes) and safe for
-// concurrent use.
+// concurrent use. Memo, the count-bounded generic LRU map behind the
+// simulator's memoization tables, is the one exception: its callers guard it.
 package cache
 
 import (

@@ -236,7 +236,7 @@ func TestPathTreeMemoEviction(t *testing.T) {
 			t.Fatalf("post-roll tree %d is nil", i)
 		}
 	}
-	if n := len(snap.memo.nodes); n != capacity {
+	if n := snap.memo.lru.Len(); n != capacity {
 		t.Fatalf("memo holds %d entries, want cap %d", n, capacity)
 	}
 	// The most recent sources are still memoized (pointer-equal on re-query).

@@ -257,8 +257,15 @@ func (c *Constellation) Elements(id SatID) orbit.Elements { return c.elements[id
 func (c *Constellation) Snapshot(t time.Duration) *Snapshot {
 	pos := make([]geo.Vec3, len(c.elements))
 	c.eng.positionsInto(t, pos)
+	return newSnapshot(c, t, pos)
+}
+
+// newSnapshot wires a snapshot over its position buffer: the path memo's
+// capacity and the pass-through view that routes the healthy topology.
+func newSnapshot(c *Constellation, t time.Duration, pos []geo.Vec3) *Snapshot {
 	s := &Snapshot{c: c, t: t, pos: pos}
 	s.memo.cap = c.memoCap
+	s.healthy.snap = s
 	return s
 }
 
@@ -285,8 +292,10 @@ type Snapshot struct {
 	memoGen uint32
 	memo    pathMemo // per-snapshot shortest-path trees, keyed (source, generation, fault epoch)
 
+	healthy MaskedView // the pass-through view (fault epoch 0) Masked returns for empty masks
+
 	maskMu sync.Mutex
-	masked map[uint64]*MaskedView // fault epoch -> cached fault-aware view
+	masked map[uint64]*MaskedView // non-zero fault epoch -> cached fault-aware view
 
 	// Visibility memo: ground stations and city clients query Visible at the
 	// same points thousands of times per snapshot, and the list's size (and

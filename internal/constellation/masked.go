@@ -2,6 +2,7 @@ package constellation
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -47,14 +48,17 @@ type MaskedView struct {
 // epoch. The first call for an epoch captures the masks; later calls return
 // the cached view, so callers must pass the same masks for the same epoch —
 // the epoch identifies a fault state, the masks describe it (faults.Plan
-// maintains exactly this invariant). Empty masks return a pass-through view
-// that shares the healthy graph and memo entries. A non-empty mask with
-// epoch 0 is a caller bug — epoch 0 is reserved for the healthy topology —
-// and panics rather than silently poisoning the shared memo.
+// maintains exactly this invariant). Empty masks return the snapshot's own
+// pass-through view (epoch 0) without a lock or a lookup: the healthy
+// topology is the zero-fault case of the degraded one, sharing its graph and
+// memo entries. A non-empty mask with epoch 0 is a caller bug — epoch 0 is
+// reserved for the healthy topology — and panics rather than silently
+// poisoning the shared memo.
 func (s *Snapshot) Masked(epoch uint64, deadSats routing.Bitset, deadLinks []LinkID) *MaskedView {
 	if !deadSats.Any() && len(deadLinks) == 0 {
-		epoch = 0
-	} else if epoch == 0 {
+		return &s.healthy
+	}
+	if epoch == 0 {
 		panic(fmt.Sprintf("constellation: Masked with non-empty masks requires a non-zero epoch (%d dead sats, %d dead links)",
 			deadSats.Count(), len(deadLinks)))
 	}
@@ -63,14 +67,11 @@ func (s *Snapshot) Masked(epoch uint64, deadSats routing.Bitset, deadLinks []Lin
 	if v, ok := s.masked[epoch]; ok {
 		return v
 	}
-	v := &MaskedView{snap: s, epoch: epoch}
-	if epoch != 0 {
-		v.deadSats = deadSats
-		if len(deadLinks) > 0 {
-			v.deadLinks = make(map[LinkID]bool, len(deadLinks))
-			for _, l := range deadLinks {
-				v.deadLinks[NormalizedLink(l.A, l.B)] = true
-			}
+	v := &MaskedView{snap: s, epoch: epoch, deadSats: deadSats}
+	if len(deadLinks) > 0 {
+		v.deadLinks = make(map[LinkID]bool, len(deadLinks))
+		for _, l := range deadLinks {
+			v.deadLinks[NormalizedLink(l.A, l.B)] = true
 		}
 	}
 	if s.masked == nil {
@@ -92,28 +93,11 @@ func (v *MaskedView) Epoch() uint64 { return v.epoch }
 // Alive reports whether the satellite survives in this view.
 func (v *MaskedView) Alive(id SatID) bool { return !v.deadSats.Test(int(id)) }
 
-// Visible returns the surviving satellites above the elevation mask, best
-// first — the healthy visibility list with dead satellites filtered out.
-func (v *MaskedView) Visible(ground geo.Point) []VisibleSat {
-	vis := v.snap.Visible(ground)
-	if v.epoch == 0 {
-		return vis
-	}
-	// The healthy query allocates a fresh slice per call, so filtering in
-	// place never disturbs another caller.
-	out := vis[:0]
-	for _, sat := range vis {
-		if v.Alive(sat.ID) {
-			out = append(out, sat)
-		}
-	}
-	return out
-}
-
-// VisibleShared is the memo-backed form of Visible: the healthy list comes
-// from the snapshot's visibility memo, and a fault-epoch view filters it into
-// a fresh slice (never in place — the memoized list is shared). Callers must
-// treat the result as read-only, like Snapshot.VisibleShared.
+// VisibleShared returns the surviving satellites above the elevation mask,
+// best first: the healthy list comes from the snapshot's visibility memo,
+// and a fault-epoch view filters it into a fresh slice (never in place — the
+// memoized list is shared). Callers must treat the result as read-only, like
+// Snapshot.VisibleShared.
 func (v *MaskedView) VisibleShared(ground geo.Point) []VisibleSat {
 	vis := v.snap.VisibleShared(ground)
 	if v.epoch == 0 {
@@ -152,13 +136,13 @@ func (v *MaskedView) BestVisible(ground geo.Point) (VisibleSat, bool) {
 // edge with a dead endpoint or a failed link. Dead satellites keep their
 // node ids (ids are positional across the whole codebase) but have no
 // incident edges, so searches can never route through them. Built once per
-// view and shared.
+// view and shared; the pass-through view returns the snapshot's own graph,
+// which a sweep refreshes in place.
 func (v *MaskedView) ISLGraph() *routing.Graph {
+	if v.epoch == 0 {
+		return v.snap.ISLGraph()
+	}
 	v.islOnce.Do(func() {
-		if v.epoch == 0 {
-			v.islGraph = v.snap.ISLGraph()
-			return
-		}
 		v.islGraph = v.snap.buildISLGraph(func(lo, hi SatID) bool {
 			return v.deadSats.Test(int(lo)) || v.deadSats.Test(int(hi)) || v.deadLinks[LinkID{A: lo, B: hi}]
 		})
@@ -171,19 +155,29 @@ func (v *MaskedView) ISLGraph() *routing.Graph {
 // through the same uplink in the same fault state shares one Dijkstra run,
 // and healthy trees (epoch 0) are never shadowed. Returns nil when src is
 // out of range or dead — a dead satellite roots no routes.
-func (v *MaskedView) PathTree(src SatID) *routing.SPTree {
-	if src < 0 || int(src) >= len(v.snap.pos) || !v.Alive(src) {
+func (v *MaskedView) PathTree(src SatID) *routing.SPTree { return v.pathTree(src, math.Inf(1)) }
+
+// pathTree is the one memo lookup/insert body behind every path-tree query.
+// A finite maxCost serves a memoized full tree when there is one and
+// otherwise runs a cost-bounded Dijkstra that is not memoized (a bounded
+// tree must never masquerade as a full one).
+func (v *MaskedView) pathTree(src SatID, maxCost float64) *routing.SPTree {
+	s := v.snap
+	if src < 0 || int(src) >= len(s.pos) || !v.Alive(src) {
 		return nil
 	}
-	epoch := v.snap.memoEpoch(v.epoch)
-	if t, ok := v.snap.memo.lookup(src, epoch); ok {
-		v.snap.c.memoHits.Add(1)
+	key := memoKey{src: src, epoch: s.memoEpoch(v.epoch)}
+	if t, ok := s.memo.lookup(key); ok {
+		s.c.memoHits.Add(1)
 		return t
 	}
-	v.snap.c.memoMisses.Add(1)
+	s.c.memoMisses.Add(1)
+	if !math.IsInf(maxCost, 1) {
+		return v.ISLGraph().SPTreeFromWithin(routing.NodeID(src), maxCost)
+	}
 	t := v.ISLGraph().SPTreeFrom(routing.NodeID(src))
 	if t != nil {
-		v.snap.memo.insert(src, epoch, t)
+		s.memo.insert(key, t)
 	}
 	return t
 }

@@ -61,7 +61,7 @@ func TestMaskedVisibilitySkipsDeadSats(t *testing.T) {
 	if v.Alive(best.ID) {
 		t.Fatal("dead satellite reported alive")
 	}
-	vis := v.Visible(pt)
+	vis := v.VisibleShared(pt)
 	if len(vis) != len(healthy)-1 {
 		t.Fatalf("masked visible = %d, want %d", len(vis), len(healthy)-1)
 	}
@@ -89,7 +89,7 @@ func TestMaskedBestVisibleAllDead(t *testing.T) {
 	if _, ok := v.BestVisible(pt); ok {
 		t.Fatal("no survivor should mean no best visible")
 	}
-	if len(v.Visible(pt)) != 0 {
+	if len(v.VisibleShared(pt)) != 0 {
 		t.Fatal("no survivor should mean empty visible list")
 	}
 }

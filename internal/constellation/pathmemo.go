@@ -3,6 +3,7 @@ package constellation
 import (
 	"sync"
 
+	"spacecdn/internal/cache"
 	"spacecdn/internal/routing"
 )
 
@@ -45,118 +46,41 @@ type memoKey struct {
 	epoch uint64
 }
 
-// memoNode is one LRU entry: a keyed settled tree, linked into a recency
-// list (head = most recent).
-type memoNode struct {
-	key        memoKey
-	tree       *routing.SPTree
-	prev, next *memoNode
-}
-
 // pathMemo is a bounded, mutex-guarded LRU from (source, fault epoch) to
-// shortest-path tree. Trees are computed outside the lock — a duplicate
-// computation during a race is harmless because trees are deterministic, and
-// it keeps Dijkstra latency out of the critical section.
+// shortest-path tree, created on first insert so snapshots that never route
+// carry no table. Trees are computed outside the lock — a duplicate
+// computation during a race is harmless because trees are deterministic and
+// the first store wins, and it keeps Dijkstra latency out of the critical
+// section.
 type pathMemo struct {
-	mu         sync.Mutex
-	cap        int // max entries; 0 falls back to pathMemoCap
-	nodes      map[memoKey]*memoNode
-	head, tail *memoNode
+	mu  sync.Mutex
+	cap int // max entries; 0 falls back to pathMemoCap
+	lru *cache.Memo[memoKey, *routing.SPTree]
 }
 
-// lookup returns the memoized tree for (src, epoch), refreshing its recency.
-func (m *pathMemo) lookup(src SatID, epoch uint64) (*routing.SPTree, bool) {
-	m.mu.Lock()
-	nd := m.nodes[memoKey{src: src, epoch: epoch}]
-	if nd == nil {
-		m.mu.Unlock()
-		return nil, false
-	}
-	m.moveToFront(nd)
-	t := nd.tree
-	m.mu.Unlock()
-	return t, true
-}
-
-// insert memoizes a freshly computed tree, evicting the least recently used
-// entry beyond capacity. If a racing goroutine inserted the key first, the
-// existing entry is kept (both trees are identical).
-func (m *pathMemo) insert(src SatID, epoch uint64, t *routing.SPTree) {
+func (m *pathMemo) lookup(k memoKey) (*routing.SPTree, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	capacity := m.cap
-	if capacity <= 0 {
-		capacity = pathMemoCap
+	if m.lru == nil {
+		return nil, false
 	}
-	if m.nodes == nil {
-		m.nodes = make(map[memoKey]*memoNode, capacity)
-	}
-	key := memoKey{src: src, epoch: epoch}
-	if nd := m.nodes[key]; nd != nil {
-		m.moveToFront(nd)
-		return
-	}
-	nd := &memoNode{key: key, tree: t}
-	m.nodes[key] = nd
-	m.pushFront(nd)
-	if len(m.nodes) > capacity {
-		lru := m.tail
-		m.unlink(lru)
-		delete(m.nodes, lru.key)
-	}
+	return m.lru.Get(k)
 }
 
-func (m *pathMemo) pushFront(nd *memoNode) {
-	nd.prev = nil
-	nd.next = m.head
-	if m.head != nil {
-		m.head.prev = nd
+func (m *pathMemo) insert(k memoKey, t *routing.SPTree) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.lru == nil {
+		m.lru = cache.NewMemo[memoKey, *routing.SPTree](max(m.cap, pathMemoCap))
 	}
-	m.head = nd
-	if m.tail == nil {
-		m.tail = nd
-	}
-}
-
-func (m *pathMemo) unlink(nd *memoNode) {
-	if nd.prev != nil {
-		nd.prev.next = nd.next
-	} else {
-		m.head = nd.next
-	}
-	if nd.next != nil {
-		nd.next.prev = nd.prev
-	} else {
-		m.tail = nd.prev
-	}
-	nd.prev, nd.next = nil, nil
-}
-
-func (m *pathMemo) moveToFront(nd *memoNode) {
-	if m.head == nd {
-		return
-	}
-	m.unlink(nd)
-	m.pushFront(nd)
+	m.lru.Put(k, t)
 }
 
 // PathTree returns the single-source shortest-path tree over the snapshot's
-// ISL graph rooted at src, memoized per snapshot under fault epoch 0 (the
-// healthy topology): every client resolving through the same uplink
-// satellite shares one Dijkstra run. Returns nil when src is out of range.
-func (s *Snapshot) PathTree(src SatID) *routing.SPTree {
-	epoch := s.memoEpoch(0)
-	if t, ok := s.memo.lookup(src, epoch); ok {
-		s.c.memoHits.Add(1)
-		return t
-	}
-	s.c.memoMisses.Add(1)
-	t := s.ISLGraph().SPTreeFrom(routing.NodeID(src))
-	if t != nil {
-		s.memo.insert(src, epoch, t)
-	}
-	return t
-}
+// ISL graph rooted at src — the healthy view's tree, memoized under fault
+// epoch 0: every client resolving through the same uplink satellite shares
+// one Dijkstra run. Returns nil when src is out of range.
+func (s *Snapshot) PathTree(src SatID) *routing.SPTree { return s.healthy.PathTree(src) }
 
 // PathTreeWithin returns a tree whose entries are exact for every node with
 // distance at most maxCost from src. A memoized full tree satisfies any
@@ -164,10 +88,5 @@ func (s *Snapshot) PathTree(src SatID) *routing.SPTree {
 // without populating the memo (bounded trees must not masquerade as full
 // ones). Returns nil when src is out of range.
 func (s *Snapshot) PathTreeWithin(src SatID, maxCost float64) *routing.SPTree {
-	if t, ok := s.memo.lookup(src, s.memoEpoch(0)); ok {
-		s.c.memoHits.Add(1)
-		return t
-	}
-	s.c.memoMisses.Add(1)
-	return s.ISLGraph().SPTreeFromWithin(routing.NodeID(src), maxCost)
+	return s.healthy.pathTree(src, maxCost)
 }

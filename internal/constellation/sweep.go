@@ -61,8 +61,7 @@ func (c *Constellation) Sweep(start, step time.Duration) *Sweep {
 	if w == nil {
 		n := len(c.elements)
 		w = &Sweep{c: c}
-		w.snap = &Snapshot{c: c, pos: make([]geo.Vec3, n)}
-		w.snap.memo.cap = c.memoCap
+		w.snap = newSnapshot(c, 0, make([]geo.Vec3, n))
 		w.snap.grid = newSweepGrid(c)
 		w.snap.gridOnce.Do(func() {}) // the grid is owned, never lazily built
 	}

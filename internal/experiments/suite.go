@@ -26,11 +26,6 @@ type Suite struct {
 	// means one per CPU. Results are identical for every worker count —
 	// sharding and randomness depend only on the work and the seed.
 	Workers int
-	// ScanSweeps forces the time-stepped experiments onto fresh per-step
-	// snapshots instead of the incremental sweep cursor. Outputs are proven
-	// identical either way; equivalence tests flip this and diff streams.
-	ScanSweeps bool
-
 	// Fault-injection knobs for the resilience experiment (E-resilience).
 	// The sweep varies the satellite failure fraction; the ISL and PoP
 	// fractions follow it at half and a quarter of its value unless pinned
@@ -49,6 +44,11 @@ type Suite struct {
 	aim []measure.SpeedTest
 	web []measure.WebMeasurement
 	tel *telemetry.Telemetry
+
+	// scanSweeps forces the time-stepped experiments onto fresh per-step
+	// snapshots instead of the incremental sweep cursor. Outputs are proven
+	// identical either way; equivalence tests set it and diff streams.
+	scanSweeps bool
 }
 
 // NewSuite builds a suite with a fresh environment.
@@ -155,7 +155,7 @@ func (s *Suite) snapshotTimes() []time.Duration {
 }
 
 // sweepCursor returns an AdvanceTo-driven cursor positioned at start for
-// walking snapshotTimes, honouring the ScanSweeps flag. Callers must Close
+// walking snapshotTimes, honouring the scanSweeps seam. Callers must Close
 // it; the sweep form is pooled, so per-configuration cursors are cheap.
 // When the attached telemetry carries a windowed series collector, the cursor
 // is wrapped so every advance ticks the collector — this is what keys metric
@@ -163,7 +163,7 @@ func (s *Suite) snapshotTimes() []time.Duration {
 // handing ObserveCursor a non-nil interface wrapping a nil *SeriesCollector.
 func (s *Suite) sweepCursor(start time.Duration) constellation.Cursor {
 	var cur constellation.Cursor
-	if s.ScanSweeps {
+	if s.scanSweeps {
 		cur = s.Env.SweepScan(start, 0)
 	} else {
 		cur = s.Env.Sweep(start, 0)

@@ -26,7 +26,7 @@ func TestResilienceSweepMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ScanSweeps = scan
+		s.scanSweeps = scan
 		cfg := s.resilienceFaultConfig(0.05)
 		plan, err := faults.NewPlan(cfg, s.Env.Constellation, s.popNames())
 		if err != nil {

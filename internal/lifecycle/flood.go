@@ -10,15 +10,6 @@ import (
 	"spacecdn/internal/routing"
 )
 
-// Topology prices ISL paths from a seed satellite. Satisfied by
-// *constellation.Snapshot (healthy) and *constellation.MaskedView (fault-
-// masked) — the same duality the serving path uses, so a purge flood under
-// faults automatically routes around dead satellites and links and leaves
-// partitioned satellites unreached.
-type Topology interface {
-	PathTree(constellation.SatID) *routing.SPTree
-}
-
 // NeverReceived marks a satellite a flood never reached.
 const NeverReceived = time.Duration(-1)
 
@@ -26,13 +17,16 @@ const NeverReceived = time.Duration(-1)
 // at: every satellite's receipt epoch is the first-arrival time of the
 // flood, which over an ISL broadcast equals the shortest-path delay from
 // the seed (propagation plus perHopMs switching per hop), plus the uplink
-// delay of getting the purge from the ground into the seed. Satellites the
-// topology cannot reach from the seed get NeverReceived.
+// delay of getting the purge from the ground into the seed. The view is the
+// snapshot's healthy one or a fault-masked one, so a purge flood under
+// faults routes around dead satellites and links and leaves partitioned
+// satellites unreached: satellites the view cannot reach from the seed get
+// NeverReceived.
 //
-// The computation is a pure function of the topology and the seed — no
+// The computation is a pure function of the view and the seed — no
 // randomness — so flood ordering is identical across worker counts by
 // construction.
-func FloodReceipts(topo Topology, n int, seed constellation.SatID, at time.Duration, perHopMs, uplinkMs float64) (receipts []time.Duration, reached int) {
+func FloodReceipts(topo *constellation.MaskedView, n int, seed constellation.SatID, at time.Duration, perHopMs, uplinkMs float64) (receipts []time.Duration, reached int) {
 	receipts = make([]time.Duration, n)
 	tree := topo.PathTree(seed)
 	for i := range receipts {
@@ -78,7 +72,7 @@ func (r PurgeResult) Window() time.Duration { return r.ConvergedAt - r.IssuedAt 
 // from the seed satellite across the given topology at time at. The
 // returned result carries the full receipt vector for inconsistency-window
 // analysis; the manager retains it to answer KnownVersion.
-func (m *Manager) IssuePurge(obj content.ID, topo Topology, seed constellation.SatID, at time.Duration, perHopMs, uplinkMs float64) (PurgeResult, error) {
+func (m *Manager) IssuePurge(obj content.ID, topo *constellation.MaskedView, seed constellation.SatID, at time.Duration, perHopMs, uplinkMs float64) (PurgeResult, error) {
 	if topo == nil {
 		return PurgeResult{}, fmt.Errorf("lifecycle: purge needs a topology")
 	}

@@ -93,7 +93,7 @@ func TestPurgeFloodReceiptsAndInconsistency(t *testing.T) {
 	var it cache.Item
 	m.Stamp(&it, content.ClassStatic, "obj", 0)
 
-	res, err := m.IssuePurge("obj", snap, 0, time.Minute, 0.35, 5)
+	res, err := m.IssuePurge("obj", snap.Masked(0, nil, nil), 0, time.Minute, 0.35, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func TestFloodReceiptsDeterministic(t *testing.T) {
 	cst := smallConst(t)
 	snap := cst.Snapshot(90 * time.Second)
 	n := cst.Total()
-	a, ra := FloodReceipts(snap, n, 5, time.Second, 0.35, 5)
-	b, rb := FloodReceipts(snap, n, 5, time.Second, 0.35, 5)
+	a, ra := FloodReceipts(snap.Masked(0, nil, nil), n, 5, time.Second, 0.35, 5)
+	b, rb := FloodReceipts(snap.Masked(0, nil, nil), n, 5, time.Second, 0.35, 5)
 	if ra != rb {
 		t.Fatalf("reached differs: %d vs %d", ra, rb)
 	}
@@ -207,11 +207,11 @@ func TestSequentialPurgesStackVersions(t *testing.T) {
 	snap := cst.Snapshot(0)
 	n := cst.Total()
 	m := NewManager(Policy{}, n)
-	r1, err := m.IssuePurge("obj", snap, 0, time.Minute, 0.35, 5)
+	r1, err := m.IssuePurge("obj", snap.Masked(0, nil, nil), 0, time.Minute, 0.35, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.IssuePurge("obj", snap, 3, 2*time.Minute, 0.35, 5)
+	r2, err := m.IssuePurge("obj", snap.Masked(0, nil, nil), 3, 2*time.Minute, 0.35, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestIssuePurgeValidation(t *testing.T) {
 		t.Fatal("nil topology accepted")
 	}
 	cst := smallConst(t)
-	if _, err := m.IssuePurge("obj", cst.Snapshot(0), 99, 0, 0, 0); err == nil {
+	if _, err := m.IssuePurge("obj", cst.Snapshot(0).Masked(0, nil, nil), 99, 0, 0, 0); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
 }

@@ -150,46 +150,23 @@ const maxUplinkCandidates = 6
 // snapshot. It evaluates the top visible satellites at the terminal against
 // every visible satellite at each ground station homed on the PoP, and picks
 // the pair minimizing total one-way propagation — modelling an operator that
-// schedules terminals and gateways onto the cheapest space path.
+// schedules terminals and gateways onto the cheapest space path. It is
+// ResolvePathDegraded over the snapshot's healthy view with every PoP alive.
 func (m *Model) ResolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
-	if m.pathDurUs == nil {
-		return m.resolvePath(client, iso2, snap)
-	}
-	start := time.Now()
-	p, err := m.resolvePath(client, iso2, snap)
-	m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
-	if err != nil {
-		m.pathErrs.Inc()
-	}
+	p, _, err := m.ResolvePathDegraded(client, iso2, snap.Masked(0, nil, nil), nil)
 	return p, err
 }
 
-// topology is what path resolution prices against: the healthy snapshot, or
-// a fault-masked view of one. Both expose elevation-sorted visibility and
-// memoized shortest-path trees; a masked topology simply lacks the dead
-// satellites and their edges. Visibility goes through the shared (memoized)
-// form: path resolution queries the same ground stations and recurring
-// clients against one snapshot thousands of times, and re-enumerating a
-// visible list that grows with the constellation made the ground stage
-// degrade linearly in satellite count. The shared lists are read-only here —
-// the uplink list is only re-sliced, never written.
-type topology interface {
-	VisibleShared(geo.Point) []constellation.VisibleSat
-	PathTree(constellation.SatID) *routing.SPTree
-}
-
-func (m *Model) resolvePath(client geo.Point, iso2 string, snap *constellation.Snapshot) (Path, error) {
-	pop, ok := m.Ground.AssignPoPForClient(iso2, client)
-	if !ok {
-		return Path{}, fmt.Errorf("lsn: no PoP assignment for country %q", iso2)
-	}
-	return m.resolvePathVia(snap, client, pop)
-}
-
 // resolvePathVia prices the client's path to one fixed PoP over the given
-// topology — the PoP-assignment-free core of resolvePath.
-func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.PoP) (Path, error) {
-	ups := snap.VisibleShared(client)
+// view — the PoP-assignment-free core of resolvePath. Visibility goes
+// through the shared (memoized) form: path resolution queries the same
+// ground stations and recurring clients against one snapshot thousands of
+// times, and re-enumerating a visible list that grows with the
+// constellation made the ground stage degrade linearly in satellite count.
+// The shared lists are read-only here — the uplink list is only re-sliced,
+// never written.
+func (m *Model) resolvePathVia(view *constellation.MaskedView, client geo.Point, pop groundseg.PoP) (Path, error) {
+	ups := view.VisibleShared(client)
 	if len(ups) == 0 {
 		return Path{}, fmt.Errorf("%w: client at %v", ErrNoVisibility, client)
 	}
@@ -208,7 +185,7 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 	}
 	var gss []gsInfo
 	for _, gs := range stations {
-		vis := snap.VisibleShared(gs.Loc)
+		vis := view.VisibleShared(gs.Loc)
 		if len(vis) == 0 {
 			continue
 		}
@@ -226,10 +203,11 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 	bestCost := time.Duration(1<<63 - 1)
 	found := false
 	for _, up := range ups {
-		// The snapshot memoizes one shortest-path tree per uplink satellite,
-		// so repeated resolves through the same serving satellite — every
-		// client in a city — price their candidates off a single Dijkstra.
-		tree := snap.PathTree(up.ID)
+		// The snapshot memoizes one shortest-path tree per uplink satellite
+		// and fault epoch, so repeated resolves through the same serving
+		// satellite — every client in a city — price their candidates off a
+		// single Dijkstra.
+		tree := view.PathTree(up.ID)
 		if tree == nil {
 			continue
 		}
@@ -262,28 +240,33 @@ func (m *Model) resolvePathVia(snap topology, client geo.Point, pop groundseg.Po
 		return Path{}, fmt.Errorf("%w: no ISL route to PoP %s", ErrNoVisibility, pop.Name)
 	}
 	if best.UpSat != best.DownSat {
-		if hops, ok := snap.PathTree(best.UpSat).HopsTo(routing.NodeID(best.DownSat)); ok {
+		if hops, ok := view.PathTree(best.UpSat).HopsTo(routing.NodeID(best.DownSat)); ok {
 			best.ISLHops = hops
 		}
 	}
 	return best, nil
 }
 
-// ResolvePathDegraded computes the subscriber path over a fault-masked
-// constellation view, failing over blacked-out PoPs: the healthy country
-// assignment is tried first; when it is dark or unreachable over the
-// surviving topology, the remaining live PoPs are tried nearest-first from
-// the client until one resolves. failover reports whether the served PoP
-// differs from the healthy assignment. deadPoP marks blacked-out PoPs by
-// name (nil means all alive). An error means no PoP is reachable at all —
-// no ground path exists in this fault state. Telemetry observes it like
-// ResolvePath.
+// ResolvePathDegraded computes the subscriber path over a constellation
+// view, failing over blacked-out PoPs: the healthy country assignment is
+// tried first; when it is dark or unreachable over the surviving topology,
+// the remaining live PoPs are tried nearest-first from the client until one
+// resolves. failover reports whether the served PoP differs from the healthy
+// assignment. deadPoP marks blacked-out PoPs by name (nil means all alive).
+// Failover runs only when there is a fault to route around — the view has a
+// fault epoch or deadPoP is non-nil — so a healthy view with every PoP alive
+// returns the assigned PoP's path or its error, exactly like ResolvePath.
+// An error on a faulted input means no PoP is reachable at all — no ground
+// path exists in this fault state.
+//
+// With telemetry attached, each call observes its wall time, which is
+// dominated by the per-uplink-candidate Dijkstra sweeps, and counts errors.
 func (m *Model) ResolvePathDegraded(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
 	if m.pathDurUs == nil {
-		return m.resolvePathDegraded(client, iso2, view, deadPoP)
+		return m.resolvePath(client, iso2, view, deadPoP)
 	}
 	start := time.Now()
-	p, failover, err := m.resolvePathDegraded(client, iso2, view, deadPoP)
+	p, failover, err := m.resolvePath(client, iso2, view, deadPoP)
 	m.pathDurUs.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 	if err != nil {
 		m.pathErrs.Inc()
@@ -291,7 +274,7 @@ func (m *Model) ResolvePathDegraded(client geo.Point, iso2 string, view *constel
 	return p, failover, err
 }
 
-func (m *Model) resolvePathDegraded(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
+func (m *Model) resolvePath(client geo.Point, iso2 string, view *constellation.MaskedView, deadPoP func(string) bool) (Path, bool, error) {
 	assigned, ok := m.Ground.AssignPoPForClient(iso2, client)
 	if !ok {
 		return Path{}, false, fmt.Errorf("lsn: no PoP assignment for country %q", iso2)
@@ -300,8 +283,8 @@ func (m *Model) resolvePathDegraded(client geo.Point, iso2 string, view *constel
 	var lastErr error
 	if !dead(assigned.Name) {
 		p, err := m.resolvePathVia(view, client, assigned)
-		if err == nil {
-			return p, false, nil
+		if err == nil || (view.Epoch() == 0 && deadPoP == nil) {
+			return p, false, err
 		}
 		lastErr = err
 	}

@@ -7,60 +7,6 @@ import (
 	"spacecdn/internal/telemetry"
 )
 
-func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	l := newLRU[int, string](3)
-	l.put(1, "a")
-	l.put(2, "b")
-	l.put(3, "c")
-	// Touch 1 so 2 becomes the eviction victim.
-	if v, ok := l.get(1); !ok || v != "a" {
-		t.Fatalf("get(1) = %q, %v", v, ok)
-	}
-	l.put(4, "d")
-	if _, ok := l.get(2); ok {
-		t.Error("2 survived past capacity despite being least recently used")
-	}
-	for _, k := range []int{1, 3, 4} {
-		if _, ok := l.get(k); !ok {
-			t.Errorf("%d missing after eviction of the LRU entry", k)
-		}
-	}
-	if l.len() != 3 {
-		t.Errorf("len = %d, want 3", l.len())
-	}
-}
-
-func TestLRUDuplicatePutFirstStoreWins(t *testing.T) {
-	l := newLRU[string, int](2)
-	if got := l.put("k", 1); got != 1 {
-		t.Fatalf("first put returned %d", got)
-	}
-	// Racing computations of the same deterministic value must converge on
-	// the first stored instance.
-	if got := l.put("k", 2); got != 1 {
-		t.Errorf("duplicate put returned %d, want the existing 1", got)
-	}
-	if v, _ := l.get("k"); v != 1 {
-		t.Errorf("get returned %d, want 1", v)
-	}
-	if l.len() != 1 {
-		t.Errorf("len = %d, want 1", l.len())
-	}
-}
-
-func TestLRUSingleEntryChurn(t *testing.T) {
-	l := newLRU[int, int](1)
-	for i := 0; i < 10; i++ {
-		l.put(i, i)
-		if l.len() != 1 {
-			t.Fatalf("len = %d after put %d, want 1", l.len(), i)
-		}
-	}
-	if v, ok := l.get(9); !ok || v != 9 {
-		t.Fatalf("newest entry lost: %d, %v", v, ok)
-	}
-}
-
 // TestSnapshotCacheBounded drives more distinct snapshot times than the cache
 // holds and checks the LRU keeps the environment's footprint flat while the
 // hit/miss counters account for every lookup.
@@ -72,7 +18,7 @@ func TestSnapshotCacheBounded(t *testing.T) {
 		e.Snapshot(time.Duration(i) * 31 * time.Millisecond)
 	}
 	e.mu.Lock()
-	size := e.snapCache.len()
+	size := e.snapCache.Len()
 	e.mu.Unlock()
 	if size > snapCacheCap {
 		t.Errorf("snapshot cache grew to %d, cap %d", size, snapCacheCap)

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spacecdn/internal/cache"
 	"spacecdn/internal/cdn"
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/geo"
@@ -49,8 +50,8 @@ type Environment struct {
 	// path-tree memo), paths are light but numerous.
 	mu sync.Mutex
 	// pathCache memoizes LSN path resolution per (city, snapshot).
-	pathCache *lru[pathKey, lsn.Path]
-	snapCache *lru[time.Duration, *constellation.Snapshot]
+	pathCache *cache.Memo[pathKey, lsn.Path]
+	snapCache *cache.Memo[time.Duration, *constellation.Snapshot]
 
 	// Cache effectiveness counters, exported as telemetry gauges by
 	// SetTelemetry. Atomics so reads never contend with the cache mutex.
@@ -90,8 +91,8 @@ func NewEnvironment() (*Environment, error) {
 		LSN:           lsn.NewModel(c, ground, lsn.DefaultConfig()),
 		Terrestrial:   terr,
 		CDN:           cd,
-		pathCache:     newLRU[pathKey, lsn.Path](pathCacheCap),
-		snapCache:     newLRU[time.Duration, *constellation.Snapshot](snapCacheCap),
+		pathCache:     cache.NewMemo[pathKey, lsn.Path](pathCacheCap),
+		snapCache:     cache.NewMemo[time.Duration, *constellation.Snapshot](snapCacheCap),
 	}, nil
 }
 
@@ -100,7 +101,7 @@ func NewEnvironment() (*Environment, error) {
 // caller converges on one shared (and one lazily-built ISL graph) instance.
 func (e *Environment) Snapshot(t time.Duration) *constellation.Snapshot {
 	e.mu.Lock()
-	s, ok := e.snapCache.get(t)
+	s, ok := e.snapCache.Get(t)
 	e.mu.Unlock()
 	if ok {
 		e.snapHits.Add(1)
@@ -109,7 +110,7 @@ func (e *Environment) Snapshot(t time.Duration) *constellation.Snapshot {
 	e.snapMisses.Add(1)
 	s = e.Constellation.Snapshot(t)
 	e.mu.Lock()
-	s = e.snapCache.put(t, s)
+	s = e.snapCache.Put(t, s)
 	e.mu.Unlock()
 	return s
 }
@@ -133,7 +134,7 @@ func (e *Environment) SweepScan(start, step time.Duration) *constellation.SweepS
 func (e *Environment) Path(loc geo.Point, iso string, t time.Duration) (lsn.Path, error) {
 	k := pathKey{lat: loc.LatDeg, lon: loc.LonDeg, iso: iso, t: t}
 	e.mu.Lock()
-	p, ok := e.pathCache.get(k)
+	p, ok := e.pathCache.Get(k)
 	e.mu.Unlock()
 	if ok {
 		e.pathHits.Add(1)
@@ -145,7 +146,7 @@ func (e *Environment) Path(loc geo.Point, iso string, t time.Duration) (lsn.Path
 		return lsn.Path{}, err
 	}
 	e.mu.Lock()
-	p = e.pathCache.put(k, p)
+	p = e.pathCache.Put(k, p)
 	e.mu.Unlock()
 	return p, nil
 }

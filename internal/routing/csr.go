@@ -64,6 +64,24 @@ func NewGraphCSR(offsets, targets, weightIdx []int32, weights []float64) *Graph 
 // the sweep engine's per-step "rebuild": the adjacency structure is untouched
 // and nothing allocates. The caller must guarantee no concurrent readers.
 // Panics when the graph was not built by NewGraphCSR.
+func (g *Graph) SetCSRWeights(weights []float64) {
+	if g.csrEdges == nil {
+		panic("routing: SetCSRWeights on a non-CSR graph")
+	}
+	maxW := 0.0
+	for k := range g.csrEdges {
+		w := weights[g.csrWidx[k]]
+		if w < 0 || math.IsNaN(w) {
+			panic(fmt.Sprintf("routing: invalid edge weight %v", w))
+		}
+		g.csrEdges[k].Weight = w
+		if w > maxW {
+			maxW = w
+		}
+	}
+	g.maxW = maxW
+}
+
 // SetCSRWeightsUndirected is the fused form of SetCSRWeights for callers that
 // know the two directed slots of each undirected edge (slotA[k], slotB[k]):
 // one pass over the physical links writes both directions and recomputes the
@@ -81,24 +99,6 @@ func (g *Graph) SetCSRWeightsUndirected(slotA, slotB []int32, weights []float64)
 		}
 		g.csrEdges[slotA[k]].Weight = w
 		g.csrEdges[slotB[k]].Weight = w
-		if w > maxW {
-			maxW = w
-		}
-	}
-	g.maxW = maxW
-}
-
-func (g *Graph) SetCSRWeights(weights []float64) {
-	if g.csrEdges == nil {
-		panic("routing: SetCSRWeights on a non-CSR graph")
-	}
-	maxW := 0.0
-	for k := range g.csrEdges {
-		w := weights[g.csrWidx[k]]
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("routing: invalid edge weight %v", w))
-		}
-		g.csrEdges[k].Weight = w
 		if w > maxW {
 			maxW = w
 		}

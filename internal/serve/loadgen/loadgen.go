@@ -70,6 +70,15 @@ func Run(srv *serve.Server, wl *serve.Workload, cfg Config) (Result, error) {
 	if cfg.Mode == HTTP && cfg.BaseURL == "" {
 		return Result{}, fmt.Errorf("loadgen: HTTP mode requires BaseURL")
 	}
+	var tr *http.Transport
+	if cfg.Mode == HTTP {
+		// A per-run transport whose connections close when the run ends. An
+		// idle keep-alive connection, or one dialed but never used, left
+		// open would read as a never-used new connection on the server and
+		// hold its graceful shutdown for net/http's 5 s grace period.
+		tr = http.DefaultTransport.(*http.Transport).Clone()
+		defer tr.CloseIdleConnections()
+	}
 	var next atomic.Uint64
 	var errs, stale atomic.Int64
 	lats := make([][]float64, cfg.Workers)
@@ -86,7 +95,7 @@ func Run(srv *serve.Server, wl *serve.Workload, cfg Config) (Result, error) {
 				sc = srv.AcquireScratch()
 				defer srv.ReleaseScratch(sc)
 			} else {
-				client = &http.Client{}
+				client = &http.Client{Transport: tr}
 			}
 			for {
 				i := next.Add(1) - 1

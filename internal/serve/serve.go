@@ -118,8 +118,11 @@ type Server struct {
 
 	served, errCount, staleCount atomic.Int64
 
+	// swapDurMs is a ring of the most recent swapWindow epoch swap times;
+	// swapN counts every swap, so swapN % swapWindow is the next slot.
 	mu        sync.Mutex
-	swapDurMs []float64
+	swapDurMs [swapWindow]float64
+	swapN     int
 
 	ln          net.Listener
 	hsrv        *http.Server
@@ -217,10 +220,23 @@ func (s *Server) advance() {
 	ms := float64(time.Since(begin)) / float64(time.Millisecond)
 	s.swaps.Inc()
 	s.swapMs.Observe(ms)
+	s.recordSwap(ms)
+}
+
+// recordSwap stores one swap time in the history ring, overwriting the
+// oldest once the window is full.
+func (s *Server) recordSwap(ms float64) {
 	s.mu.Lock()
-	s.swapDurMs = append(s.swapDurMs, ms)
+	s.swapDurMs[s.swapN%swapWindow] = ms
+	s.swapN++
 	s.mu.Unlock()
 }
+
+// swapWindow bounds the swap-latency history Stats summarizes: a daemon
+// swapping every 2 ms for a day would otherwise keep ~43M samples (~345 MB)
+// and copy and sort them all on every Stats call. 1024 recent swaps keep the
+// p99 an exact order statistic with ten samples above it.
+const swapWindow = 1024
 
 // ResolveOnce serves one request against the currently published epoch —
 // the in-process entry shared by the HTTP handler and the load generator.
@@ -337,7 +353,8 @@ type Stats struct {
 	StaleServed int64
 	// Epochs is the published epoch count (the initial publication is #1).
 	Epochs uint64
-	// SwapP50Ms / SwapP99Ms summarize epoch build-and-publish latency.
+	// SwapP50Ms / SwapP99Ms summarize epoch build-and-publish latency over
+	// the most recent swapWindow swaps.
 	SwapP50Ms, SwapP99Ms float64
 }
 
@@ -350,7 +367,7 @@ func (s *Server) Stats() Stats {
 		Epochs:      s.seq.Load(),
 	}
 	s.mu.Lock()
-	durs := append([]float64(nil), s.swapDurMs...)
+	durs := append([]float64(nil), s.swapDurMs[:min(s.swapN, swapWindow)]...)
 	s.mu.Unlock()
 	if len(durs) > 0 {
 		cdf := stats.NewCDF(durs)

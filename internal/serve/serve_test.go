@@ -82,6 +82,32 @@ func TestServeInProcess(t *testing.T) {
 	}
 }
 
+// TestSwapHistoryBounded drives more epoch swaps than the history window
+// holds: the window must forget the oldest swaps (here a full window of
+// planted 1e6 ms outliers) while the swap-latency quantiles stay populated
+// from the recent ones.
+func TestSwapHistoryBounded(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Seed: 3, Step: time.Second})
+	defer srv.Close()
+	const outlierMs = 1e6
+	for i := 0; i < swapWindow; i++ {
+		srv.recordSwap(outlierMs)
+	}
+	for i := 0; i < swapWindow+50; i++ {
+		srv.advance()
+	}
+	st := srv.Stats()
+	if st.Epochs != swapWindow+51 {
+		t.Fatalf("epochs = %d, want %d", st.Epochs, swapWindow+51)
+	}
+	if st.SwapP99Ms <= 0 || st.SwapP50Ms <= 0 || st.SwapP50Ms > st.SwapP99Ms {
+		t.Fatalf("swap quantiles p50 %v p99 %v, want 0 < p50 <= p99", st.SwapP50Ms, st.SwapP99Ms)
+	}
+	if st.SwapP99Ms >= outlierMs {
+		t.Fatalf("swap p99 = %v ms: swaps older than the %d-swap window were kept", st.SwapP99Ms, swapWindow)
+	}
+}
+
 func TestServeSweeperAdvances(t *testing.T) {
 	srv, wl := newTestServer(t, Config{Seed: 2, Step: 15 * time.Second, Interval: time.Millisecond})
 	if err := srv.Start(); err != nil {

@@ -63,7 +63,7 @@ func (s *System) ResolveAll(reqs []Request, snap *constellation.Snapshot, rng *s
 	// the fan-out keeps shards from contending on the lazy build's sync.Once,
 	// and the build is never timed into a shard.
 	ep := s.epochAt(snap)
-	ep.topo.ISLGraph()
+	ep.view.ISLGraph()
 	// An active lifecycle manager makes the batch two-phase (see
 	// lifecycle.go): the sharded resolve fills one intent per request, and
 	// the intents commit below, sequentially in batch order.

@@ -28,30 +28,27 @@ import (
 // funneled through the single-writer applier (StartLifecycleApplier) so
 // origin-fetch coalescing stays deterministic under concurrent misses.
 
-// Epoch pins the time-varying inputs of one resolution instant: a finished
-// constellation snapshot and the fault state active at its time. A healthy
-// epoch has no fault view and routes over the snapshot; a degraded one
-// carries the pinned view and its masked topology. Epochs are immutable
-// after construction and safe to share across any number of request
-// goroutines.
+// Epoch pins the time-varying inputs of one resolution instant: the
+// constellation view requests route over and the fault state active at its
+// time. Healthy is the empty fault state: a healthy epoch routes over the
+// snapshot's pass-through view and has no fault view; a degraded one pins
+// the fault view and its masked topology. Epochs are immutable after
+// construction and safe to share across any number of request goroutines.
 type Epoch struct {
 	seq  uint64
-	snap *constellation.Snapshot
-	topo topology                  // what requests route over: snap, or view
+	view *constellation.MaskedView // the snapshot's view under fv (pass-through when healthy)
 	fv   *faults.View              // nil on a healthy epoch
-	view *constellation.MaskedView // fv's masked topology; nil when fv is
 }
 
 // epochAt pins the attached fault plan's state at the snapshot time. It
 // draws no randomness, so with no plan, or at a fault-free instant, a
 // resolve consumes exactly the rng draws of a bare system.
 func (s *System) epochAt(snap *constellation.Snapshot) Epoch {
-	ep := Epoch{snap: snap, topo: snap}
+	ep := Epoch{view: snap.Masked(0, nil, nil)}
 	if s.faults != nil {
 		if fv := s.faults.ViewAt(snap.Time()); !fv.Empty() {
 			ep.fv = fv
 			ep.view = snap.Masked(fv.Epoch, fv.DeadSats, fv.DeadLinks)
-			ep.topo = ep.view
 		}
 	}
 	return ep
@@ -66,7 +63,7 @@ func (s *System) epochAt(snap *constellation.Snapshot) Epoch {
 func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
 	ep := s.epochAt(snap)
 	ep.seq = seq
-	ep.topo.ISLGraph()
+	ep.view.ISLGraph()
 	return &ep
 }
 
@@ -74,10 +71,10 @@ func (s *System) NewEpoch(seq uint64, snap *constellation.Snapshot) *Epoch {
 func (e *Epoch) Seq() uint64 { return e.seq }
 
 // Time returns the simulation instant the epoch pins.
-func (e *Epoch) Time() time.Duration { return e.snap.Time() }
+func (e *Epoch) Time() time.Duration { return e.view.Time() }
 
 // Snapshot returns the pinned constellation snapshot.
-func (e *Epoch) Snapshot() *constellation.Snapshot { return e.snap }
+func (e *Epoch) Snapshot() *constellation.Snapshot { return e.view.Snapshot() }
 
 // Degraded reports whether the epoch pins an active-outage fault view, i.e.
 // resolutions against it reroute around dead hardware.
@@ -87,8 +84,8 @@ func (e *Epoch) Degraded() bool { return e.fv != nil }
 // epoch's fault state; failover reports that the healthy best was dead and
 // the next surviving one was chosen.
 func (e *Epoch) uplink(p geo.Point) (up constellation.VisibleSat, failover, ok bool) {
-	up, ok = e.snap.BestVisible(p)
-	if ok && e.fv != nil && e.fv.SatDead(up.ID) {
+	up, ok = e.view.Snapshot().BestVisible(p)
+	if ok && !e.view.Alive(up.ID) {
 		up, ok = e.view.BestVisible(p)
 		failover = true
 	}

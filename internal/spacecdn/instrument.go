@@ -57,9 +57,11 @@ var spatialSourceEvents = [numSources]telemetry.SpatialEvent{
 	SourceGround:   telemetry.SpatialGround,
 }
 
-// resolveDetail carries the latency components of one resolution so record
-// can decompose the RTT into trace spans. It is filled by assignment only —
-// the instrumented path allocates nothing until a request is sampled.
+// resolveDetail carries what one resolution did beyond its Resolution: the
+// failover flags the always-on counters need, and the latency components
+// record uses to decompose the RTT into trace spans. Every resolution fills
+// one on the stack by assignment only, so nothing allocates until a request
+// is sampled.
 type resolveDetail struct {
 	client    geo.Point     // requesting terminal, for spatial attribution
 	uplinkRTT time.Duration // two-way terminal <-> overhead satellite
@@ -67,11 +69,10 @@ type resolveDetail struct {
 	ground    lsn.Path      // resolved ground path (ground source)
 	hasGround bool
 
-	// Degraded-mode flags (set only on a degraded epoch).
-	degraded        bool // the request ran the fault-aware pipeline
-	uplinkFailover  bool // overhead satellite was dead, re-homed
-	replicaFailover bool // replica set intersected the dead mask
-	popFailover     bool // served by a non-assigned PoP
+	// Degraded-mode flags (set only on a degraded epoch): the request ran
+	// over a fault state, and which failovers it took.
+	degraded  bool
+	failovers [numFailoverKinds]bool
 }
 
 // SetTelemetry attaches (or, with nil, detaches) telemetry. Attaching wires
@@ -216,20 +217,12 @@ func (s *System) Telemetry() *telemetry.Telemetry {
 // full trace only when the sink samples this request.
 func (in *instruments) record(res Resolution, err error, d *resolveDetail) {
 	seq := in.seq.Add(1)
-	if d.degraded {
-		// Failovers count even when the request ultimately errors: the
-		// reroute attempt happened. They heat the client's cell (the region
-		// degraded service hit), not a satellite.
-		if d.uplinkFailover {
-			in.failovers[FailoverUplink].Inc()
-			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
-		}
-		if d.replicaFailover {
-			in.failovers[FailoverReplica].Inc()
-			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
-		}
-		if d.popFailover {
-			in.failovers[FailoverPoP].Inc()
+	// Failovers count even when the request ultimately errors: the reroute
+	// attempt happened. They heat the client's cell (the region degraded
+	// service hit), not a satellite.
+	for k, took := range d.failovers {
+		if took {
+			in.failovers[k].Inc()
 			in.spatial.RecordCell(d.client.LatDeg, d.client.LonDeg, telemetry.SpatialFailover)
 		}
 	}

@@ -143,7 +143,7 @@ func (s *System) IssuePurge(obj content.ID, origin geo.Point, snap *constellatio
 		return lifecycle.PurgeResult{}, fmt.Errorf("spacecdn: no satellite visible from purge origin %v", origin)
 	}
 	uplinkMs := float64(orbit.PropagationDelay(up.SlantKm)) / float64(time.Millisecond)
-	res, err := s.lc.IssuePurge(obj, ep.topo, up.ID, snap.Time(), s.cfg.PerHopProcMs, uplinkMs)
+	res, err := s.lc.IssuePurge(obj, ep.view, up.ID, snap.Time(), s.cfg.PerHopProcMs, uplinkMs)
 	if err != nil {
 		return res, err
 	}

@@ -8,7 +8,6 @@ import (
 	"spacecdn/internal/constellation"
 	"spacecdn/internal/content"
 	"spacecdn/internal/geo"
-	"spacecdn/internal/lsn"
 	"spacecdn/internal/orbit"
 	"spacecdn/internal/routing"
 	"spacecdn/internal/stats"
@@ -100,67 +99,65 @@ func (s *System) resolveInline(ep *Epoch, client geo.Point, iso2 string, obj con
 	return res, err
 }
 
-// resolveEpoch runs the pipeline and, when telemetry is attached, records
-// the request.
+// resolveEpoch runs the pipeline over a stack detail and accounts for it.
 func (s *System) resolveEpoch(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, it *lcIntent) (Resolution, error) {
-	in := s.inst
-	if in == nil {
-		return s.resolve(ep, client, iso2, obj, rng, it, nil)
-	}
-	var d resolveDetail
-	d.client = client
+	d := resolveDetail{client: client}
 	res, err := s.resolve(ep, client, iso2, obj, rng, it, &d)
-	in.record(res, err, &d)
+	s.account(res, err, &d)
 	return res, err
 }
 
+// account turns one resolution's detail flags into the always-on
+// degraded-mode counters and, when telemetry is attached, records the
+// request. It is the only place either is updated, so each failover is
+// counted once however the request ends.
+func (s *System) account(res Resolution, err error, d *resolveDetail) {
+	if d.degraded {
+		s.fstats.degraded.Add(1)
+		for k, took := range d.failovers {
+			if took {
+				s.fstats.failovers[k].Add(1)
+			}
+		}
+	}
+	if in := s.inst; in != nil {
+		in.record(res, err, d)
+	}
+}
+
 // resolve is the resolution pipeline behind Resolve, ResolveAt and
-// ResolveAll. On a degraded epoch it keeps the three stages but reroutes
-// around dead hardware, in failover order:
+// ResolveAll. It routes over the epoch's view, so a degraded epoch keeps the
+// three stages and reroutes around dead hardware, in failover order:
 //
 //  1. dead overhead satellite → the next surviving visible one;
 //  2. dead replica holders and relays → excluded from the ISL search, which
 //     runs over the masked graph where dead satellites have no edges;
 //  3. dead PoP → the next-nearest live PoP (lsn.ResolvePathDegraded).
 //
-// Each failover advances its always-on counter. A request errors only when
-// no path — space or ground — survives the fault state.
+// Each failover sets its flag in d. A request errors only when no path —
+// space or ground — survives the fault state.
 //
 // Every cache hit goes through serveHit, which is a plain counted Get when
 // it is nil and a freshness classification when it is not (only while the
 // lifecycle manager is active); a ground serve then records the origin
 // refill. With an intent the pipeline is read-only over cache state and the
-// caller chooses when the intent commits. When d is non-nil it is filled
-// with the latency components telemetry needs to decompose the RTT into
-// spans; the components are assigned, never allocated, so the disabled
-// path stays allocation-free.
+// caller chooses when the intent commits. d also receives the latency
+// components telemetry needs to decompose the RTT into spans; they are
+// assigned, never allocated, so the disabled path stays allocation-free.
 func (s *System) resolve(ep *Epoch, client geo.Point, iso2 string, obj content.Object, rng *stats.Rand, it *lcIntent, d *resolveDetail) (Resolution, error) {
-	degraded := ep.fv != nil
-	if degraded {
-		s.fstats.degraded.Add(1)
-		if d != nil {
-			d.degraded = true
-		}
-	}
+	d.degraded = ep.fv != nil
 	if it != nil {
 		it.obj = obj
 	}
 	up, failover, ok := ep.uplink(client)
-	if failover {
-		s.fstats.uplinkFO.Add(1)
-		if d != nil {
-			d.uplinkFailover = true
-		}
-	}
+	d.failovers[FailoverUplink] = failover
 	if !ok {
 		return Resolution{}, fmt.Errorf("spacecdn: no satellite visible from %v", client)
 	}
 	t := ep.Time()
 	upDelay := orbit.PropagationDelay(up.SlantKm)
 	sched := s.schedDelay(rng)
-	if d != nil {
-		d.uplinkRTT = 2 * upDelay
-	}
+	d.uplinkRTT = 2 * upDelay
 
 	// Stage 1: directly overhead.
 	if s.Active(up.ID, t) {
@@ -178,21 +175,14 @@ func (s *System) resolve(ep *Epoch, client geo.Point, iso2 string, obj content.O
 	// skipping the BFS entirely) and the duty cycler the active bitset, so
 	// the search probes words instead of calling Peek per visited node.
 	members := s.replicas.bitset(cache.Key(obj.ID))
-	if degraded && members.IntersectsAny(ep.fv.DeadSats) {
-		s.fstats.replicaFO.Add(1)
-		if d != nil {
-			d.replicaFailover = true
-		}
-	}
-	if hit, ok := ep.topo.ISLGraph().NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
+	d.failovers[FailoverReplica] = d.degraded && members.IntersectsAny(ep.fv.DeadSats)
+	if hit, ok := ep.view.ISLGraph().NearestInSet(routing.NodeID(up.ID), s.cfg.MaxISLSearchHops, members, s.activeSet(t)); ok {
 		target := constellation.SatID(hit.Node)
 		// An unreachable replica (partitioned topology) falls through to the
 		// ground stage instead of pricing the fetch as free.
-		if islRTT, hops, reachable := s.islRoundTrip(ep.topo, up.ID, target); reachable {
+		if islRTT, hops, reachable := s.islRoundTrip(ep.view, up.ID, target); reachable {
 			if tierLat, ok := s.serveHit(it, target, obj, client, t); ok {
-				if d != nil {
-					d.islRTT = islRTT
-				}
+				d.islRTT = islRTT
 				return Resolution{
 					Source: SourceISL,
 					Sat:    target,
@@ -203,24 +193,24 @@ func (s *System) resolve(ep *Epoch, client geo.Point, iso2 string, obj content.O
 		}
 	}
 
-	// Stage 3: ground fallback through the operator's PoP.
+	// Stage 3: ground fallback through the operator's PoP. PoP failover runs
+	// only on a degraded epoch (a PoP-only outage has a pass-through view
+	// but a live blackout predicate), so a healthy epoch's stream stays
+	// equal to ResolveReference.
 	if s.lsn == nil {
 		return Resolution{}, fmt.Errorf("spacecdn: no ground fallback configured and object %s not in space", obj.ID)
 	}
-	path, popFailover, err := s.groundPath(ep, client, iso2)
+	var popDead func(string) bool
+	if d.degraded {
+		popDead = ep.fv.PoPDead
+	}
+	path, popFailover, err := s.lsn.ResolvePathDegraded(client, iso2, ep.view, popDead)
+	d.failovers[FailoverPoP] = popFailover
 	if err != nil {
 		return Resolution{}, fmt.Errorf("spacecdn: ground fallback: %w", err)
 	}
-	if popFailover {
-		s.fstats.popFO.Add(1)
-		if d != nil {
-			d.popFailover = true
-		}
-	}
-	if d != nil {
-		d.ground = path
-		d.hasGround = true
-	}
+	d.ground = path
+	d.hasGround = true
 	if it != nil {
 		// A miss, or an expired refetch when the search dropped an expired
 		// copy on the way. The overhead satellite pulls the object through
@@ -236,17 +226,6 @@ func (s *System) resolve(ep *Epoch, client geo.Point, iso2 string, obj content.O
 		Source: SourceGround,
 		RTT:    s.lsn.SampleRTTToPoP(path, rng),
 	}, nil
-}
-
-// groundPath resolves the ground stage's path. PoP failover runs only on a
-// degraded epoch: a healthy one takes the plain ResolvePath, which keeps
-// its stream equal to ResolveReference.
-func (s *System) groundPath(ep *Epoch, client geo.Point, iso2 string) (lsn.Path, bool, error) {
-	if ep.fv == nil {
-		path, err := s.lsn.ResolvePath(client, iso2, ep.snap)
-		return path, false, err
-	}
-	return s.lsn.ResolvePathDegraded(client, iso2, ep.view, ep.fv.PoPDead)
 }
 
 // ResolveReference is the pre-acceleration resolve pipeline, kept verbatim:
@@ -316,26 +295,16 @@ func (s *System) cacheGet(id constellation.SatID, obj content.ID) bool {
 	return s.caches[int(id)].Get(cache.Key(obj))
 }
 
-// topology is the ISL routing surface the pipeline reads, with ISL legs
-// priced off memoized shortest-path trees. Satisfied by
-// *constellation.Snapshot (healthy topology, fault epoch 0) and
-// *constellation.MaskedView (degraded topology, its own epoch); both are
-// pointer receivers, so the interface costs no allocation per call.
-type topology interface {
-	ISLGraph() *routing.Graph
-	PathTree(constellation.SatID) *routing.SPTree
-}
-
 // islOneWay returns the one-way ISL latency (propagation plus per-hop
 // switching) and the hop count between two satellites on the cheapest path,
-// priced off the topology's memoized path tree. ok is false when to is
+// priced off the view's memoized path tree. ok is false when to is
 // unreachable from from — callers must treat the replica as unusable and
 // fall through to the ground stage, never price it as free.
-func (s *System) islOneWay(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
+func (s *System) islOneWay(view *constellation.MaskedView, from, to constellation.SatID) (time.Duration, int, bool) {
 	if from == to {
 		return 0, 0, true
 	}
-	tree := topo.PathTree(from)
+	tree := view.PathTree(from)
 	if tree == nil || !tree.Reachable(routing.NodeID(to)) {
 		return 0, 0, false
 	}
@@ -346,8 +315,8 @@ func (s *System) islOneWay(topo topology, from, to constellation.SatID) (time.Du
 }
 
 // islRoundTrip returns the two-way ISL latency and hop count.
-func (s *System) islRoundTrip(topo topology, from, to constellation.SatID) (time.Duration, int, bool) {
-	d, h, ok := s.islOneWay(topo, from, to)
+func (s *System) islRoundTrip(view *constellation.MaskedView, from, to constellation.SatID) (time.Duration, int, bool) {
+	d, h, ok := s.islOneWay(view, from, to)
 	return 2 * d, h, ok
 }
 
@@ -432,7 +401,7 @@ func (s *System) NearestReplicaRTT(client geo.Point, obj content.ID, snap *const
 	if !ok {
 		return 0, 0, false
 	}
-	oneWay, h, reachable := s.islOneWay(snap, up.ID, constellation.SatID(hit.Node))
+	oneWay, h, reachable := s.islOneWay(snap.Masked(0, nil, nil), up.ID, constellation.SatID(hit.Node))
 	if !reachable {
 		return 0, 0, false
 	}

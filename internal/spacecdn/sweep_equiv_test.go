@@ -14,9 +14,9 @@ import (
 // nothing observable.
 func scanSystem(t *testing.T) *System {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.ScanSweeps = true
-	return newSystem(t, cfg)
+	s := newSystem(t, DefaultConfig())
+	s.scanSweeps = true
+	return s
 }
 
 func TestStripingScheduleSweepMatchesScan(t *testing.T) {

@@ -69,12 +69,6 @@ type Config struct {
 	// DutyCycle configures fractional caching; nil means all satellites
 	// cache all the time.
 	DutyCycle *DutyCycleConfig
-	// ScanSweeps forces time-stepped simulations (VM handovers, wormhole
-	// planning, striping windows) onto fresh per-step snapshots instead of
-	// the incremental sweep engine. The outputs are proven identical; the
-	// flag exists so the equivalence tests (and any doubting operator) can
-	// diff the two forms.
-	ScanSweeps bool
 }
 
 // DefaultConfig mirrors the paper's simulation setup.
@@ -119,17 +113,21 @@ type System struct {
 	lc       *lifecycle.Manager // nil when content has no lifecycle (see SetLifecycle)
 	tierCfg  *TierSizing        // nil unless UseTieredStore swapped the stores
 
+	// scanSweeps forces time-stepped simulations (VM handovers, wormhole
+	// planning, striping windows) onto fresh per-step snapshots instead of
+	// the incremental sweep engine. The outputs are proven identical; the
+	// equivalence tests set it to diff the two forms.
+	scanSweeps bool
+
 	// applier is the single-writer lifecycle apply loop used by the serve
 	// path (see StartLifecycleApplier); nil routes ResolveAt intents inline.
 	applier atomic.Pointer[lcApplier]
 
-	// fstats are the always-on degraded-mode counters; atomics because
-	// resolve shards update them concurrently.
+	// fstats are the always-on degraded-mode counters, one per failover
+	// kind; atomics because resolve shards update them concurrently.
 	fstats struct {
 		degraded  atomic.Int64
-		uplinkFO  atomic.Int64
-		replicaFO atomic.Int64
-		popFO     atomic.Int64
+		failovers [numFailoverKinds]atomic.Int64
 	}
 
 	// lcstats are the always-on lifecycle counters (see LifecycleStats).
@@ -176,12 +174,12 @@ func (s *System) Config() Config { return s.cfg }
 func (s *System) Constellation() *constellation.Constellation { return s.consts }
 
 // sweepCursor returns a time cursor for a stepped simulation: the pooled
-// incremental sweep, or the fresh-snapshot reference when Config.ScanSweeps
+// incremental sweep, or the fresh-snapshot reference when scanSweeps
 // is set. Every stepped consumer in the package goes through here, so the
 // two forms stay diffable end to end.
 func (s *System) sweepCursor(start, step time.Duration) constellation.Cursor {
 	var cur constellation.Cursor
-	if s.cfg.ScanSweeps {
+	if s.scanSweeps {
 		cur = s.consts.SweepScan(start, step)
 	} else {
 		cur = s.consts.Sweep(start, step)
@@ -199,7 +197,7 @@ func (s *System) sweepCursor(start, step time.Duration) constellation.Cursor {
 }
 
 // overheadWindows samples serving windows over a cursor honouring the
-// ScanSweeps flag.
+// scanSweeps seam.
 func (s *System) overheadWindows(ground geo.Point, from, to, step time.Duration) []constellation.OverheadWindow {
 	cur := s.sweepCursor(from, step)
 	defer cur.Close()
@@ -300,9 +298,9 @@ type FaultStats struct {
 func (s *System) FaultStats() FaultStats {
 	return FaultStats{
 		DegradedRequests: s.fstats.degraded.Load(),
-		UplinkFailovers:  s.fstats.uplinkFO.Load(),
-		ReplicaFailovers: s.fstats.replicaFO.Load(),
-		PoPFailovers:     s.fstats.popFO.Load(),
+		UplinkFailovers:  s.fstats.failovers[FailoverUplink].Load(),
+		ReplicaFailovers: s.fstats.failovers[FailoverReplica].Load(),
+		PoPFailovers:     s.fstats.failovers[FailoverPoP].Load(),
 	}
 }
 

@@ -116,7 +116,7 @@ func (s *System) SimulateVMService(area geo.Point, start, dur time.Duration, cfg
 			continue
 		}
 		snap := cur.AdvanceTo(next.Start)
-		pathDelay, hops, reachable := s.islOneWay(snap, prev.Sat, next.Sat)
+		pathDelay, hops, reachable := s.islOneWay(snap.Masked(0, nil, nil), prev.Sat, next.Sat)
 		if !reachable {
 			return VMServiceResult{}, fmt.Errorf("spacecdn: no ISL route for handover %d->%d", prev.Sat, next.Sat)
 		}
@@ -178,7 +178,7 @@ func (s *System) ISLMigrationDelay(a, b constellation.SatID, at time.Duration, d
 		return 0, fmt.Errorf("spacecdn: non-positive bandwidth")
 	}
 	snap := s.consts.Snapshot(at)
-	pathDelay, _, ok := s.islOneWay(snap, a, b)
+	pathDelay, _, ok := s.islOneWay(snap.Masked(0, nil, nil), a, b)
 	if !ok {
 		return 0, fmt.Errorf("spacecdn: no ISL route between %d and %d at %v", a, b, at)
 	}

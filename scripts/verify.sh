@@ -49,12 +49,15 @@
 #          disabled-path identity flag), plus an instrumented run whose
 #          telemetry is checked for the lifecycle counters (bench runs this
 #          stage too)
+#   perfbench  vet and test the nested perfbench module (the repo
+#          benchmark), which `go build ./...` never compiles; offline module
+#          flags as in perfbench/run.sh
 #   benchdiff  bench-regression gate: compares every BENCH_*.json against
 #          the committed bench_baselines.json tolerance bands (runs the
 #          bench stage first if artifacts are missing)
 #
 # No arguments runs the full local gate: fmt vet build staticcheck test
-# race smoke observe.
+# perfbench race smoke observe.
 # The script is non-interactive and exits non-zero on the first failure.
 set -eu
 cd "$(dirname "$0")/.."
@@ -86,6 +89,11 @@ stage_staticcheck() {
 
 stage_test() {
 	go test ./...
+}
+
+stage_perfbench() {
+	(cd perfbench && export GOFLAGS=-mod=mod GOWORK=off GOPROXY=off &&
+		go vet ./... && go test ./...)
 }
 
 stage_race() {
@@ -190,12 +198,12 @@ stage_benchdiff() {
 
 stages="$*"
 if [ -z "$stages" ]; then
-	stages="fmt vet build staticcheck test race smoke observe"
+	stages="fmt vet build staticcheck test perfbench race smoke observe"
 fi
 
 for stage in $stages; do
 	case "$stage" in
-	fmt | vet | build | staticcheck | test | race | smoke | observe | bench | scale | serve | lifecycle | benchdiff) ;;
+	fmt | vet | build | staticcheck | test | perfbench | race | smoke | observe | bench | scale | serve | lifecycle | benchdiff) ;;
 	*)
 		echo "verify: unknown stage '$stage'" >&2
 		exit 2
